@@ -338,18 +338,13 @@ type (
 	ServiceHandler = service.Handler
 	// Repository stores a peer's named intensional documents in memory —
 	// the default DocStore backend.
-	Repository = peer.Repository
+	Repository = store.Repository
 	// DurableRepository is a Repository backed by a write-ahead log and
 	// crash-safe snapshots (the "wal" backend of OpenStore).
-	DurableRepository = peer.DurableRepository
-	// DurableOptions configures OpenDurable.
-	//
-	// Deprecated: use StoreOptions with OpenStore.
-	DurableOptions = peer.DurableOptions
+	DurableRepository = store.DurableRepository
 	// ConflictPolicy decides what Repository.LoadDirWith does on collision.
-	ConflictPolicy = peer.ConflictPolicy
-	// WALSyncMode selects the WAL fsync discipline for StoreOptions and
-	// DurableOptions.
+	ConflictPolicy = store.ConflictPolicy
+	// WALSyncMode selects the WAL fsync discipline for StoreOptions.
 	WALSyncMode = wal.SyncMode
 )
 
@@ -396,9 +391,9 @@ func StoreFuncNames(d *Node) []string { return store.FuncNames(d) }
 
 // LoadDir conflict policies.
 const (
-	KeepExisting   = peer.KeepExisting
-	Overwrite      = peer.Overwrite
-	FailOnConflict = peer.FailOnConflict
+	KeepExisting   = store.KeepExisting
+	Overwrite      = store.Overwrite
+	FailOnConflict = store.FailOnConflict
 )
 
 // WAL fsync disciplines.
@@ -410,17 +405,6 @@ const (
 
 // NewPeer creates a peer over the given schema.
 func NewPeer(name string, s *Schema) *Peer { return peer.New(name, s) }
-
-// OpenDurable opens (or creates) a durable repository in dir, running crash
-// recovery first: newest valid snapshot plus WAL tail, torn trailing records
-// truncated. Assign it (or its embedded Repository) to a Peer to make every
-// mutation path durable; Close writes a final snapshot.
-//
-// Deprecated: kept as a thin wrapper so existing callers compile unchanged;
-// use OpenStore with StoreOptions{Backend: StoreWAL, Dir: dir, ...}.
-func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
-	return peer.OpenDurable(dir, opts)
-}
 
 // Converter constructors (see internal/core for details).
 var (

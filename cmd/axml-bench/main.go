@@ -307,7 +307,7 @@ func benchWAL(path string) error {
 		return res, putErr
 	}
 
-	mem := peer.NewRepository()
+	mem := store.NewRepository()
 	base, err := measure(func(i int) error {
 		return mem.Put(fmt.Sprintf("doc%03d", i%128), payload)
 	})
@@ -327,7 +327,7 @@ func benchWAL(path string) error {
 		if err != nil {
 			return err
 		}
-		d, err := peer.OpenDurable(dir, peer.DurableOptions{Sync: mode, SnapshotEvery: 4096})
+		d, err := store.OpenDurable(dir, store.DurableOptions{Sync: mode, SnapshotEvery: 4096})
 		if err != nil {
 			os.RemoveAll(dir)
 			return err

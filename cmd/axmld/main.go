@@ -26,12 +26,13 @@
 //	             a persistent per-shard function-node index serving
 //	             GET /docs/by-function/{fn}.
 //
-// -stream switches /exchange to the one-pass streaming enforcement engine:
-// the response body starts flowing while the document tail is still being
+// POST /exchange runs the one-pass streaming enforcement engine: the
+// response body starts flowing while the document tail is still being
 // validated, holding only O(depth) state plus unresolved function islands in
-// memory. Targets whose content models mention function symbols fall back to
-// the buffered tree path automatically; a failure after bytes have been sent
-// aborts the connection instead of ending the response as if complete.
+// memory. Non-safe modes and targets whose content models mention function
+// symbols fall back to the tree engine automatically; a failure after bytes
+// have been sent aborts the connection instead of ending the response as if
+// complete.
 //
 // Federation: -role selects the peer's place in a static cluster.
 //
@@ -159,6 +160,7 @@ func run(p *peer.Peer, opts options) int {
 	defer stop()
 
 	logger := opts.logger
+	_, durable := p.Repo.(*store.DurableRepository)
 	var pprofSrv *http.Server
 	if opts.pprof != "" {
 		// The pprof listener deliberately uses http.DefaultServeMux, which
@@ -200,7 +202,7 @@ func run(p *peer.Peer, opts options) int {
 			obslog.F("data_dir", opts.dataDir),
 			obslog.F("role", opts.role),
 			obslog.F("telemetry", p.Telemetry != nil),
-			obslog.F("durable", p.Durable != nil),
+			obslog.F("durable", durable),
 			obslog.F("version", buildVersion()),
 		)
 		errc <- srv.ListenAndServe()
@@ -236,7 +238,7 @@ func run(p *peer.Peer, opts options) int {
 		logger.Error(nil, "closing store failed",
 			obslog.Err(err), obslog.F("store", opts.storeBackend), obslog.F("data_dir", opts.dataDir))
 		exit = 1
-	} else if p.Durable != nil {
+	} else if durable {
 		logger.Info(nil, "final snapshot written",
 			obslog.F("store", opts.storeBackend), obslog.F("data_dir", opts.dataDir))
 	}
@@ -309,7 +311,6 @@ func configure(args []string) (*peer.Peer, options, error) {
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive failures opening a per-endpoint circuit breaker (0 disables)")
 	breakerCooldown := fs.Duration("breaker-cooldown", invoke.DefaultBreakerCooldown, "how long an open breaker rejects calls before probing")
 	parallel := fs.Int("parallel", 1, "parallel materialization degree for enforcement rewritings (1 = sequential)")
-	streaming := fs.Bool("stream", false, "stream /exchange responses: validate and rewrite in one pass, emitting accepted output while the document is still being enforced (falls back to the buffered path when the target schema is not streamable)")
 	readHeaderTimeout := fs.Duration("read-header-timeout", defaultReadHeaderTimeout, "max time to read a request's headers (0 disables)")
 	readTimeout := fs.Duration("read-timeout", defaultReadTimeout, "max time to read an entire request including the body (0 disables)")
 	writeTimeout := fs.Duration("write-timeout", defaultWriteTimeout, "max time to write a response (0 disables)")
@@ -478,7 +479,6 @@ func configure(args []string) (*peer.Peer, options, error) {
 	p.MaxRequestBytes = *maxRequest
 	p.Policies = policies(*breakerFailures, *breakerCooldown, *retries, *retryBackoff, *callTimeout)
 	p.Parallelism = *parallel
-	p.Streaming = *streaming
 	p.Health = peer.NewHealth()
 	// Request and policy-event log lines carry the store backend so a
 	// fleet's mixed-backend logs attribute latency to the right engine.
@@ -506,6 +506,9 @@ func configure(args []string) (*peer.Peer, options, error) {
 	if *role == "leader" {
 		tail = *replicaTail
 	}
+	// durable is the WAL-backed store behind p.Repo, if any: the
+	// replication source reads its log.
+	var durable *store.DurableRepository
 	if backend != store.BackendMem {
 		st, err := store.Open(store.Options{
 			Backend:       backend,
@@ -524,7 +527,7 @@ func configure(args []string) (*peer.Peer, options, error) {
 		p.Repo = st
 		switch s := st.(type) {
 		case *store.DurableRepository:
-			p.Durable = s
+			durable = s
 			ds := s.Stats()
 			logger.Info(nil, "durable repository recovered",
 				obslog.F("store", backend),
@@ -581,8 +584,8 @@ func configure(args []string) (*peer.Peer, options, error) {
 	var follower *replica.Follower
 	switch *role {
 	case "leader":
-		// The store switch above guarantees p.Durable for -store wal.
-		src := replica.NewSource(p.Durable, p.Telemetry)
+		// The store switch above guarantees durable for -store wal.
+		src := replica.NewSource(durable, p.Telemetry)
 		p.Replica = src.Handler()
 		p.ReplicaStats = func() any { return src.Stats() }
 		logger.Info(nil, "replication source ready",

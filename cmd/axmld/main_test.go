@@ -65,6 +65,7 @@ func TestConfigureRejectsBadFlags(t *testing.T) {
 		{"leader url on leader", []string{"-schema", sp, "-role", "leader", "-store", "wal", "-data-dir", dd, "-leader", "http://x:8080"}, "-leader requires -role follower"},
 		{"bad peers", []string{"-schema", sp, "-peers", "nourl"}, "-peers"},
 		{"duplicate peers", []string{"-schema", sp, "-peers", "a=http://x,a=http://y"}, "-peers"},
+		{"stream flag", []string{"-schema", sp, "-stream"}, "flag provided but not defined: -stream"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -170,13 +171,14 @@ func TestConfigureDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Durable == nil || p.Repo != store.DocStore(p.Durable) {
-		t.Fatal("-data-dir did not install the durable repository")
+	d, ok := p.Repo.(*store.DurableRepository)
+	if !ok {
+		t.Fatalf("-data-dir installed %T, want the durable repository", p.Repo)
 	}
 	if err := p.Repo.Put("note", doc.Elem("note", doc.TextNode("recovered"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Durable.Close(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,7 +192,10 @@ func TestConfigureDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p2.Durable.Close()
+	if _, ok := p2.Repo.(*store.DurableRepository); !ok {
+		t.Fatalf("second boot installed %T, want the durable repository", p2.Repo)
+	}
+	defer p2.Repo.Close()
 	got, ok := p2.Repo.Get("note")
 	if !ok || got.Children[0].Value != "recovered" {
 		t.Errorf("recovered note = %v, %v; the seed must not clobber it", got, ok)
@@ -215,7 +220,10 @@ func TestConfigureRoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer leader.Durable.Close()
+	if _, ok := leader.Repo.(*store.DurableRepository); !ok {
+		t.Fatalf("leader store is %T, want the durable repository", leader.Repo)
+	}
+	defer leader.Repo.Close()
 	if leader.Replica == nil {
 		t.Error("leader has no /replica handler")
 	}

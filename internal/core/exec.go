@@ -31,18 +31,25 @@ func (rw *Rewriter) RewriteDocument(root *doc.Node, mode Mode) (*doc.Node, error
 // invokers, during) service calls, returning the context's error. Calls
 // already performed remain recorded in the Audit.
 func (rw *Rewriter) RewriteDocumentContext(ctx context.Context, root *doc.Node, mode Mode) (*doc.Node, error) {
+	out, _, err := rw.rewriteDocument(ctx, root, mode)
+	return out, err
+}
+
+// rewriteDocument is RewriteDocumentContext that also reports how many
+// calls the rewriting recorded in the Audit, failed rewritings included.
+func (rw *Rewriter) rewriteDocument(ctx context.Context, root *doc.Node, mode Mode) (*doc.Node, int, error) {
 	typ, err := rw.documentType(root)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out, err := rw.RewriteForestContext(ctx, []*doc.Node{root}, typ, mode)
+	out, calls, err := rw.rewriteForestContext(ctx, []*doc.Node{root}, typ, mode)
 	if err != nil {
-		return nil, err
+		return nil, calls, err
 	}
 	if len(out) != 1 {
-		return nil, &NotSafeError{Msg: fmt.Sprintf("document rewriting produced %d roots", len(out))}
+		return nil, calls, &NotSafeError{Msg: fmt.Sprintf("document rewriting produced %d roots", len(out))}
 	}
-	return out[0], nil
+	return out[0], calls, nil
 }
 
 // RewriteForest rewrites a forest into the given word type — the operation
@@ -59,8 +66,14 @@ func (rw *Rewriter) RewriteForest(forest []*doc.Node, typ *regex.Regex, mode Mod
 // materialization engine (see parallel.go); at 1 it takes the sequential
 // code paths unchanged.
 func (rw *Rewriter) RewriteForestContext(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode) ([]*doc.Node, error) {
+	out, _, err := rw.rewriteForestContext(ctx, forest, typ, mode)
+	return out, err
+}
+
+// rewriteForestContext is RewriteForestContext plus the audited call count.
+func (rw *Rewriter) rewriteForestContext(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode) ([]*doc.Node, int, error) {
 	if rw.Invoker == nil {
-		return nil, fmt.Errorf("core: Rewriter has no Invoker; use CheckForest for static analysis")
+		return nil, 0, fmt.Errorf("core: Rewriter has no Invoker; use CheckForest for static analysis")
 	}
 	// Every top-level rewriting carries an ID — generated here unless the
 	// caller pinned one with telemetry.WithTraceID — stamped on call records,
@@ -80,15 +93,16 @@ func (rw *Rewriter) RewriteForestContext(ctx context.Context, forest []*doc.Node
 	span.SetAttr("rewrite_id", id)
 	span.SetAttr("k", strconv.Itoa(rw.K))
 	start := time.Now()
-	out, err := rw.rewriteForest(ctx, forest, typ, mode, sink)
+	out, calls, err := rw.rewriteForest(ctx, forest, typ, mode, sink)
 	ins.observeRewrite(mode, time.Since(start), err, id)
 	span.End(err)
-	return out, err
+	return out, calls, err
 }
 
 // rewriteForest is the uninstrumented body of RewriteForestContext; sink is
-// the (stamping) event sink the whole rewriting reports into.
-func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode, sink EventSink) ([]*doc.Node, error) {
+// the (stamping) event sink the whole rewriting reports into. It also
+// returns the number of calls the rewriting audited.
+func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *regex.Regex, mode Mode, sink EventSink) ([]*doc.Node, int, error) {
 	ex := &executor{rw: rw, ctx: WithEventSink(ctx, sink), mode: mode, audit: rw.Audit,
 		st: &execState{
 			paramsDone: map[*doc.Node]bool{},
@@ -104,7 +118,7 @@ func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *
 			pre, err = ex.preInvoke(forest, 0, nil)
 		}
 		if err != nil {
-			return nil, err
+			return nil, ex.auditedCount(), err
 		}
 		forest = pre
 		ex.mode = Safe
@@ -113,16 +127,17 @@ func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *
 	case Safe, Mixed:
 		// Refuse before the first call: safety is decided statically.
 		if err := rw.CheckForest(forest, typ, Safe); err != nil {
-			return nil, err
+			return nil, ex.auditedCount(), err
 		}
 	case Possible:
 		// A hopeless request is refused with zero side effects; failures
 		// after this point stem from unlucky actual returns.
 		if err := rw.CheckForest(forest, typ, Possible); err != nil {
-			return nil, err
+			return nil, ex.auditedCount(), err
 		}
 	}
-	return ex.forest(forest, typ, nil)
+	out, err := ex.forest(forest, typ, nil)
+	return out, ex.auditedCount(), err
 }
 
 // execState is the rewriting state shared by every branch of one execution,
@@ -139,7 +154,10 @@ type execState struct {
 	// non-invocable, or parameters beyond repair in lenient mode.
 	permafrost map[*doc.Node]bool
 	calls      int
-	sched      *parScheduler
+	// audited counts the call records written so far; parallel branches
+	// buffer theirs, but every buffer reaches the Rewriter's Audit.
+	audited int
+	sched   *parScheduler
 }
 
 // executor is one branch's view of a rewriting: the shared state plus the
@@ -195,6 +213,12 @@ func (ex *executor) callCount() int {
 	ex.st.mu.Lock()
 	defer ex.st.mu.Unlock()
 	return ex.st.calls
+}
+
+func (ex *executor) auditedCount() int {
+	ex.st.mu.Lock()
+	defer ex.st.mu.Unlock()
+	return ex.st.audited
 }
 
 // forest runs the three phases on one forest against a word type and
@@ -591,6 +615,9 @@ func (ex *executor) invoke(call *doc.Node, depth int) ([]*doc.Node, error) {
 	}
 	ex.audit.Record(CallRecord{Func: call.Label, Depth: depth, Cost: cost,
 		ResultNodes: len(res), Rewrite: telemetry.TraceIDFrom(ex.ctx)})
+	ex.st.mu.Lock()
+	ex.st.audited++
+	ex.st.mu.Unlock()
 	return res, nil
 }
 

@@ -159,6 +159,10 @@ func (rw *Rewriter) streamPrescan(n *doc.Node, wild bool) bool {
 // direct serialization) for configurations streaming cannot handle. The
 // document is mutated like RewriteDocumentContext; pass a clone to keep the
 // original.
+//
+// A stage timer on ctx (telemetry.StagesFrom) receives the rewrite stage
+// and, on fallback, the serialize stage; a streamed pass serializes as it
+// rewrites, so all of it is attributed to rewrite.
 func (rw *Rewriter) RewriteDocumentStream(ctx context.Context, root *doc.Node, w io.Writer, mode Mode) (*StreamResult, error) {
 	reason := ""
 	if ok, r := rw.CanStream(mode); !ok {
@@ -168,16 +172,39 @@ func (rw *Rewriter) RewriteDocumentStream(ctx context.Context, root *doc.Node, w
 	} else if !rw.streamPrescan(root, false) {
 		reason = "wild-func"
 	}
-	if reason != "" {
-		rw.Instruments.countStreamFallback(reason)
-		res := &StreamResult{FallbackReason: reason}
-		out, err := rw.RewriteDocumentContext(ctx, root, mode)
-		if err != nil {
-			return res, err
-		}
-		return res, xmlio.WriteTo(w, out)
+	st := telemetry.StagesFrom(ctx)
+	t0 := time.Now()
+	if reason == "" {
+		res, err := rw.runStream(ctx, xmlio.NewTreeSource(root), w)
+		st.Set(telemetry.StageRewrite, time.Since(t0))
+		return res, err
 	}
-	return rw.runStream(ctx, xmlio.NewTreeSource(root), w)
+	rw.Instruments.countStreamFallback(reason)
+	res := &StreamResult{FallbackReason: reason}
+	out, calls, err := rw.rewriteDocument(ctx, root, mode)
+	res.Calls = calls
+	st.Set(telemetry.StageRewrite, time.Since(t0))
+	if err != nil {
+		return res, err
+	}
+	t0 = time.Now()
+	cw := &countingWriter{w: w}
+	err = xmlio.WriteTo(cw, out)
+	res.BytesWritten = cw.n
+	st.Set(telemetry.StageSerialize, time.Since(t0))
+	return res, err
+}
+
+// countingWriter counts the bytes that reached the underlying writer.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // RewriteStream enforces the exchange schema on a token stream — no tree is

@@ -12,6 +12,7 @@ import (
 
 	"axml/internal/doc"
 	"axml/internal/schema"
+	"axml/internal/telemetry"
 	"axml/internal/xmlio"
 )
 
@@ -213,6 +214,10 @@ func streamVsTree(t *testing.T, mk func() *Rewriter, root *doc.Node, mode Mode) 
 	if tk, sk := auditKeys(rwT.Audit), auditKeys(rwS.Audit); !eqStrings(tk, sk) {
 		t.Fatalf("mode %v: audit diverged\ntree:   %v\nstream: %v", mode, tk, sk)
 	}
+	if res.BytesWritten != int64(got.Len()) || res.Calls != rwS.Audit.Len() {
+		t.Fatalf("mode %v: result reports %d bytes, %d calls; wrote %d bytes, audited %d calls",
+			mode, res.BytesWritten, res.Calls, got.Len(), rwS.Audit.Len())
+	}
 	return res
 }
 
@@ -279,6 +284,36 @@ func TestStreamFig2FallbackTarget(t *testing.T) {
 	res := streamVsTree(t, mk, fig2doc(), Safe)
 	if res.Streamed || res.FallbackReason != "target" {
 		t.Fatalf("want target fallback, got %+v", res)
+	}
+}
+
+// TestStreamFallbackAccounting: a fallback reports what the tree run did —
+// the bytes it serialized, the calls it audited, and the rewrite and
+// serialize stages on the context's stage timer.
+func TestStreamFallbackAccounting(t *testing.T) {
+	rw := paperRewriter(t, "title.date.temp.(TimeOut|exhibit*)", stubInvoker{
+		"Get_Temp": ret(doc.Elem("temp", doc.TextNode("15"))),
+	})
+	st := &telemetry.Stages{}
+	var out bytes.Buffer
+	res, err := rw.RewriteDocumentStream(telemetry.WithStages(context.Background(), st), fig2doc(), &out, Safe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Streamed || res.FallbackReason != "target" {
+		t.Fatalf("want target fallback, got %+v", res)
+	}
+	if out.Len() == 0 || res.BytesWritten != int64(out.Len()) {
+		t.Errorf("BytesWritten = %d, wrote %d", res.BytesWritten, out.Len())
+	}
+	if res.Calls != 1 || rw.Audit.Len() != 1 {
+		t.Errorf("Calls = %d, audited %d; want 1 (Get_Temp)", res.Calls, rw.Audit.Len())
+	}
+	stages := st.Seconds()
+	for _, name := range []string{"rewrite", "serialize"} {
+		if stages[name] <= 0 {
+			t.Errorf("stage %q not recorded: %v", name, stages)
+		}
 	}
 }
 

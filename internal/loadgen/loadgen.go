@@ -63,8 +63,9 @@ type Config struct {
 	// skewed (exchange traffic with Zipf-distributed hot keys), store
 	// (storage-engine churn: mutations plus /docs pagination and
 	// /docs/by-function index lookups), stream (exchange traffic that
-	// also records time-to-first-body-byte — against a peer running with
-	// -stream, first-byte latency decouples from document size), or replica
+	// also records time-to-first-body-byte — when the streaming engine
+	// serves the target, first-byte latency decouples from document size),
+	// or replica
 	// (writes to WriteURL, stale-tolerant reads from BaseURL — point them at
 	// a leader/follower pair).
 	Mix string

@@ -10,6 +10,7 @@ import (
 	"axml/internal/doc"
 	"axml/internal/schema"
 	"axml/internal/soap"
+	"axml/internal/store"
 	"axml/internal/wsdl"
 	"axml/internal/xsdint"
 )
@@ -193,7 +194,7 @@ func TestEnforceOutRewrites(t *testing.T) {
 
 // TestRepositoryErrors: persistence error paths.
 func TestRepositoryErrors(t *testing.T) {
-	r := NewRepository()
+	r := store.NewRepository()
 	if err := r.LoadDir("/nonexistent-dir-xyz"); err == nil {
 		t.Error("LoadDir on missing dir should fail")
 	}

@@ -12,12 +12,13 @@ import (
 	"axml/internal/core"
 	"axml/internal/doc"
 	"axml/internal/schema"
+	"axml/internal/store"
 )
 
 // TestRepositoryConcurrentAccess hammers the repository from many
 // goroutines; run with -race.
 func TestRepositoryConcurrentAccess(t *testing.T) {
-	r := NewRepository()
+	r := store.NewRepository()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -16,7 +16,6 @@ import (
 	"axml/internal/store"
 	"axml/internal/telemetry"
 	"axml/internal/telemetry/obslog"
-	"axml/internal/wal"
 	"axml/internal/wsdl"
 	"axml/internal/xmlio"
 	"axml/internal/xsdint"
@@ -40,7 +39,8 @@ import (
 //	                         XML Schema_int exchange schema; the response is
 //	                         the document rewritten to conform to it.
 //	                         ?mode=safe|possible|mixed (default: the peer's)
-//	GET  /stats            — enforcement-cache and audit counters, as JSON
+//	GET  /stats            — store, enforcement-cache and audit counters,
+//	                         as JSON
 //	GET  /healthz          — liveness probe (200 while serving)
 //	GET  /readyz           — readiness probe (503 before ready / while
 //	                         draining; see Peer.Health)
@@ -236,7 +236,7 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 		// buffer — no per-request document-sized intermediate.
 		_ = xmlio.WriteTo(w, d)
 	case http.MethodPut:
-		if err := ValidateDocName(name); err != nil {
+		if err := store.ValidateDocName(name); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -392,31 +392,15 @@ func (p *Peer) handleExchange(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), body.errorStatus(err))
 		return
 	}
-	if p.Streaming {
-		sw := &xmlResponseWriter{w: w}
-		res, err := p.SendDocumentStream(r.Context(), name, exchange, mode, sw)
-		if err != nil {
-			if sw.wrote || (res != nil && res.BytesWritten > 0) {
-				// The status line and a document prefix are already on the
-				// wire; the only honest signal left is killing the connection.
-				panic(http.ErrAbortHandler)
-			}
-			http.Error(w, err.Error(), exchangeErrorStatus(err))
-		}
-		return
-	}
-	out, err := p.SendDocumentContext(r.Context(), name, exchange, mode)
+	sw := &xmlResponseWriter{w: w}
+	res, err := p.SendDocumentStream(r.Context(), name, exchange, mode, sw)
 	if err != nil {
+		if sw.wrote || (res != nil && res.BytesWritten > 0) {
+			// The status line and a document prefix are already on the
+			// wire; the only honest signal left is killing the connection.
+			panic(http.ErrAbortHandler)
+		}
 		http.Error(w, err.Error(), exchangeErrorStatus(err))
-		return
-	}
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	if st != nil {
-		t0 = time.Now()
-	}
-	_ = xmlio.WriteTo(w, out)
-	if st != nil {
-		st.Set(telemetry.StageSerialize, time.Since(t0))
 	}
 }
 
@@ -444,14 +428,6 @@ func (x *xmlResponseWriter) Write(p []byte) (int, error) {
 	return x.w.Write(p)
 }
 
-// handleStats reports the enforcement cache's effectiveness: compile-cache
-// hits and misses (misses == core.Compile runs since start), the aggregated
-// word-verdict memo counters, and the invocation audit size. With Telemetry
-// configured the cache numbers are read back from the registry's
-// axml_compile_cache_* / axml_word_cache_* series — the registry is the
-// single source of truth and /stats is a JSON view of it (see DESIGN.md §8
-// for the field-to-series mapping); the JSON shape is unchanged either way,
-// except for a "telemetry" flag reporting which source served the numbers.
 // cappedBody is a request body behind http.MaxBytesReader that remembers
 // whether the cap tripped: parsers in the read path (xsdint, xml.Decoder)
 // do not all preserve the *http.MaxBytesError through their error wrapping,
@@ -496,6 +472,16 @@ func (p *Peer) limitBody(w http.ResponseWriter, r *http.Request) *cappedBody {
 	return &cappedBody{r: http.MaxBytesReader(w, r.Body, limit)}
 }
 
+// handleStats reports the peer's state as one JSON object: the store's
+// uniform report (DocStore.Stats), the enforcement caches' effectiveness —
+// compile-cache hits and misses (misses == core.Compile runs since start)
+// and the aggregated word-verdict memo counters — the invocation audit
+// size, and the replication report when one is configured. With Telemetry
+// configured the cache numbers are read back from the registry's
+// axml_compile_cache_* / axml_word_cache_* series — the registry is the
+// single source of truth and /stats is a JSON view of it (see DESIGN.md §8
+// for the field-to-series mapping); the "telemetry" flag reports which
+// source served the numbers.
 func (p *Peer) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -508,12 +494,6 @@ func (p *Peer) handleStats(w http.ResponseWriter, r *http.Request) {
 		words = registryCacheStats(reg, "axml_word_cache", words)
 	}
 	storeStats := p.Repo.Stats()
-	if p.Durable != nil {
-		// Legacy wiring points Repo at the embedded in-memory layer
-		// (p.Repo = d.Repository); the durability wrapper knows the
-		// whole truth either way.
-		storeStats = p.Durable.Stats()
-	}
 	stats := map[string]any{
 		"peer":          p.Name,
 		"documents":     storeStats.Documents,
@@ -522,7 +502,6 @@ func (p *Peer) handleStats(w http.ResponseWriter, r *http.Request) {
 		"word_cache":    words,
 		"invocations":   p.Audit.Len(),
 		"parallelism":   max(p.Parallelism, 1),
-		"streaming":     p.Streaming,
 		"telemetry":     p.Telemetry != nil,
 		"read_only":     p.ReadOnly,
 	}
@@ -531,16 +510,6 @@ func (p *Peer) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if p.ReplicaStats != nil {
 		stats["replica"] = p.ReplicaStats()
-	}
-	if p.Durable != nil {
-		// The historical flat "wal" object is preserved for existing
-		// consumers; "store" is the uniform view.
-		ds := p.Durable.Stats()
-		stats["wal"] = struct {
-			*wal.Stats
-			RecoveredDocuments int `json:"recovered_documents"`
-			SnapshotEvery      int `json:"snapshot_every"`
-		}{ds.WAL, ds.RecoveredDocuments, ds.SnapshotEvery}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(stats)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"axml/internal/store"
 	"axml/internal/wal"
 )
 
@@ -71,13 +72,12 @@ func TestHTTPDocMutations(t *testing.T) {
 // /stats exposes the WAL counters.
 func TestHTTPDurablePeer(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAlways})
+	d, err := store.OpenDurable(dir, store.DurableOptions{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := newsPeer(t)
-	p.Repo = d.Repository
-	p.Durable = d
+	p.Repo = d
 	ts := httptest.NewServer(p.Handler())
 
 	if resp := doReq(t, http.MethodPut, ts.URL+"/doc/memo", "<memo>durable</memo>"); resp.StatusCode != http.StatusNoContent {
@@ -92,30 +92,28 @@ func TestHTTPDurablePeer(t *testing.T) {
 
 	resp := doReq(t, http.MethodGet, ts.URL+"/stats", "")
 	var stats struct {
-		// The "wal" object keeps the historical flat shape: wal.Stats
-		// fields plus recovery facts at the top level.
-		WAL   *wal.Stats `json:"wal"`
 		Store *struct {
-			Backend   string `json:"backend"`
-			Documents int    `json:"documents"`
+			Backend   string     `json:"backend"`
+			Documents int        `json:"documents"`
+			WAL       *wal.Stats `json:"wal"`
 		} `json:"store"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.WAL == nil || stats.WAL.Appends != 3 {
-		t.Errorf("/stats wal = %+v, want 3 appends", stats.WAL)
-	}
 	if stats.Store == nil || stats.Store.Backend != "wal" || stats.Store.Documents != 1 {
-		t.Errorf("/stats store = %+v, want wal backend with 1 document", stats.Store)
+		t.Fatalf("/stats store = %+v, want wal backend with 1 document", stats.Store)
+	}
+	if stats.Store.WAL == nil || stats.Store.WAL.Appends != 3 {
+		t.Errorf("/stats store.wal = %+v, want 3 appends", stats.Store.WAL)
 	}
 	ts.Close()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	d2, err := OpenDurable(dir, DurableOptions{})
+	d2, err := store.OpenDurable(dir, store.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +128,12 @@ func TestHTTPDurablePeer(t *testing.T) {
 
 // A mutation after Close must not be acknowledged over HTTP either.
 func TestHTTPDurableClosedSurfacesError(t *testing.T) {
-	d, err := OpenDurable(t.TempDir(), DurableOptions{})
+	d, err := store.OpenDurable(t.TempDir(), store.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := newsPeer(t)
-	p.Repo = d.Repository
-	p.Durable = d
+	p.Repo = d
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
 	if err := d.Close(); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"axml/internal/core"
 	"axml/internal/schema"
+	"axml/internal/store"
 )
 
 // Negotiation implements the "negotiator" extension from the paper's
@@ -39,7 +40,7 @@ type Agreement struct {
 func (p *Peer) Negotiate(docName string, proposals []Proposal) (*Agreement, error) {
 	d, ok := p.Repo.Get(docName)
 	if !ok {
-		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, docName, ErrNotFound)
+		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, docName, store.ErrNotFound)
 	}
 	// Tier 1: already an instance.
 	for _, prop := range proposals {

@@ -352,6 +352,52 @@ func TestObservabilityFailedRequest(t *testing.T) {
 	})
 }
 
+// TestFlightRecordFallbackStages: an /exchange whose target makes the
+// streaming engine fall back to the tree engine still reports its
+// serialization as its own stage in the /debug/slow record, next to the
+// rewrite it followed.
+func TestFlightRecordFallbackStages(t *testing.T) {
+	p := newsPeer(t)
+	p.Flight = telemetry.NewFlight(4, 4)
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+
+	// exchangeTarget admits TimeOut, so the target is not streamable.
+	resp, err := http.Post(ts.URL+"/exchange/today?mode=safe", "text/xml", strings.NewReader(exchangeTarget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	// The first request always beats the empty ring's threshold.
+	waitFor(t, "flight record", func() bool { return len(p.Flight.Slowest()) == 1 })
+
+	resp, err = http.Get(ts.URL + "/debug/slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slow struct {
+		Slowest []telemetry.FlightRecord `json:"slowest"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&slow)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slow.Slowest) != 1 || slow.Slowest[0].Handler != "exchange" {
+		t.Fatalf("slowest = %+v", slow.Slowest)
+	}
+	stages := slow.Slowest[0].Stages
+	for _, name := range []string{"parse", "compile", "rewrite", "serialize"} {
+		if stages[name] <= 0 {
+			t.Errorf("stage %q missing from the flight record: %v", name, stages)
+		}
+	}
+}
+
 // TestHealthEndpoints: /healthz is pure liveness; /readyz tracks the
 // ready/draining lifecycle with 503 on both ends.
 func TestHealthEndpoints(t *testing.T) {

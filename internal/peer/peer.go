@@ -1,3 +1,12 @@
+// Package peer implements an Active XML peer (Section 7 of the paper): a
+// repository of intensional documents, services defined over the repository,
+// SOAP exchange with other peers, and the *Schema Enforcement* module, which
+// applies the safe/possible/mixed rewriting algorithms of internal/core to
+// every document sent, every parameter list received, and every result
+// returned.
+//
+// The repository itself lives in internal/store (the pluggable storage
+// engine); Peer.Repo holds any of its backends.
 package peer
 
 import (
@@ -63,24 +72,12 @@ type Peer struct {
 	// pre-invocation, pipelined safe-mode calls). Values <= 1 keep the
 	// sequential engine.
 	Parallelism int
-	// Streaming opts /exchange responses into the one-pass streaming
-	// enforcement engine: validated output bytes leave while the document is
-	// still being rewritten, with O(depth) buffering. Configurations the
-	// streaming engine cannot serve byte-identically (non-Safe modes,
-	// targets admitting kept functions) fall back to the tree path
-	// automatically; see core.Rewriter.RewriteDocumentStream.
-	Streaming bool
 	// Telemetry, if set, instruments the whole peer against this registry:
 	// enforcement rewritings, the compiled-schema and word-verdict caches,
 	// the invocation layer's policy events, and (through Handler) per-HTTP-
 	// handler metrics plus the /metrics and /debug/traces endpoints. Set
 	// before the peer serves traffic.
 	Telemetry *telemetry.Registry
-	// Durable, if set, is the durability layer behind Repo (Repo ==
-	// Durable or Repo == Durable.Repository): /stats then reports WAL
-	// counters and the daemon closes it on shutdown for a final snapshot.
-	// Nil means Repo is not WAL-backed (in-memory or disk-sharded).
-	Durable *DurableRepository
 	// Logger, if set, emits structured logs through Handler: one line per
 	// request (method, route, status, bytes, duration, trace ID) and one
 	// per notable invocation-policy event (retries, timeouts, breaker
@@ -123,7 +120,7 @@ func New(name string, s *schema.Schema) *Peer {
 	return &Peer{
 		Name:        name,
 		Schema:      s,
-		Repo:        NewRepository(),
+		Repo:        store.NewRepository(),
 		Services:    service.NewRegistry(),
 		K:           2,
 		Mode:        core.Safe,
@@ -280,10 +277,13 @@ func (p *Peer) SendDocumentContext(ctx context.Context, name string, exchange *s
 // SendDocumentStream is the Figure 1 scenario with a streaming response: the
 // named document is enforced against the exchange schema and serialized to w
 // in one pass, the first bytes leaving before rewriting completes whenever
-// the configuration allows (see Peer.Streaming). The returned StreamResult
-// reports whether the streaming engine served the request and its buffering
-// peaks. On error, w may have received a partial document prefix — HTTP
-// callers must check StreamResult.BytesWritten before choosing a status.
+// the streaming engine can serve the mode and target; otherwise the tree
+// engine rewrites and the result is serialized after (see
+// core.Rewriter.RewriteDocumentStream). The returned StreamResult reports
+// which engine served the request, its buffering peaks, the bytes written
+// and the calls audited. On error, w may have received a partial document
+// prefix — HTTP callers must check StreamResult.BytesWritten before
+// choosing a status.
 func (p *Peer) SendDocumentStream(ctx context.Context, name string, exchange *schema.Schema, mode core.Mode, w io.Writer) (*core.StreamResult, error) {
 	d, ok := p.Repo.Get(name)
 	if !ok {
@@ -297,14 +297,9 @@ func (p *Peer) SendDocumentStream(ctx context.Context, name string, exchange *sc
 	rw := p.rewriter(exchange)
 	if st != nil {
 		st.Set(telemetry.StageCompile, time.Since(t0))
-		t0 = time.Now()
 	}
+	// RewriteDocumentStream records the rewrite and serialize stages.
 	res, err := rw.RewriteDocumentStream(ctx, d, w, mode)
-	if st != nil {
-		// The streaming engine serializes as it rewrites; the combined
-		// pass is attributed to the rewrite stage.
-		st.Set(telemetry.StageRewrite, time.Since(t0))
-	}
 	if err != nil {
 		return res, fmt.Errorf("peer %s: sending %q: %w", p.Name, name, err)
 	}

@@ -12,6 +12,7 @@ import (
 	"axml/internal/schema"
 	"axml/internal/service"
 	"axml/internal/soap"
+	"axml/internal/store"
 	"axml/internal/wsdl"
 	"axml/internal/xmlio"
 	"axml/internal/xsdint"
@@ -67,7 +68,7 @@ func must(t testing.TB, err error) {
 }
 
 func TestRepositoryBasics(t *testing.T) {
-	r := NewRepository()
+	r := store.NewRepository()
 	d := doc.Elem("a", doc.TextNode("x"))
 	r.Put("one", d)
 	d.Children[0].Value = "mutated"
@@ -102,13 +103,13 @@ func TestRepositoryBasics(t *testing.T) {
 
 func TestRepositorySaveLoadDir(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRepository()
+	r := store.NewRepository()
 	r.Put("news", doc.Elem("newspaper", doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris")))))
 	r.Put("plain", doc.Elem("note", doc.TextNode("hi")))
 	if err := r.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewRepository()
+	r2 := store.NewRepository()
 	if err := r2.LoadDir(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,14 @@ import (
 	"axml/internal/core"
 	"axml/internal/doc"
 	"axml/internal/schema"
+	"axml/internal/store"
 )
 
 // TestPutRejectsPathTraversal is the regression test for the SaveDir escape:
 // a document named "../evil" must never be accepted, since SaveDir joins
 // names onto its directory.
 func TestPutRejectsPathTraversal(t *testing.T) {
-	r := NewRepository()
+	r := store.NewRepository()
 	d := doc.Elem("a", doc.TextNode("x"))
 	for _, name := range []string{"", ".", "..", "../evil", "a/b", `a\b`, "/abs", `..\up`} {
 		if err := r.Put(name, d); err == nil {
@@ -55,7 +56,7 @@ func TestPutRejectsPathTraversal(t *testing.T) {
 		t.Errorf("SaveDir escaped its directory: parent has %d entries", len(parent))
 	}
 
-	r2 := NewRepository()
+	r2 := store.NewRepository()
 	if err := r2.LoadDir(sub); err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,18 @@ package peer
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"axml/internal/core"
 	"axml/internal/doc"
+	"axml/internal/telemetry"
+	"axml/internal/xmlio"
+	"axml/internal/xsdint"
 )
 
 // streamExchangeXSD is an exchange schema whose content models admit no
@@ -47,34 +52,56 @@ func postExchange(t *testing.T, h http.Handler, name, xsd string) *httptest.Resp
 	return w
 }
 
-// TestExchangeStreaming: a streaming peer answers /exchange with exactly the
-// bytes the tree path produces, for both streamable and fallback targets.
+// TestExchangeStreaming: /exchange answers with exactly the bytes of the
+// tree reference (SendDocumentContext + xmlio.WriteTo on an identical peer),
+// whether the streaming engine serves the target or falls back to the tree
+// engine, and the stream counters say which one ran.
 func TestExchangeStreaming(t *testing.T) {
-	tree := newsPeer(t)
-	stream := newsPeer(t)
-	stream.Streaming = true
-	for _, p := range []*Peer{tree, stream} {
-		if err := p.Repo.Put("plain", plainDoc()); err != nil {
+	ref := newsPeer(t)
+	p := newsPeer(t)
+	p.Telemetry = telemetry.NewRegistry()
+	for _, q := range []*Peer{ref, p} {
+		if err := q.Repo.Put("plain", plainDoc()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	th, sh := tree.Handler(), stream.Handler()
+	h := p.Handler()
 
-	for _, tc := range []struct{ doc, xsd string }{
-		{"plain", streamExchangeXSD},   // streamed
-		{"today", identityExchangeXSD}, // target fallback, tree path
+	for _, tc := range []struct {
+		doc, xsd string
+		metric   string
+		labels   []string
+	}{
+		{"plain", streamExchangeXSD, "axml_stream_rewrites_total", []string{"result", "streamed"}},
+		{"today", identityExchangeXSD, "axml_stream_fallbacks_total", []string{"reason", "target"}},
 	} {
-		want := postExchange(t, th, tc.doc, tc.xsd)
-		got := postExchange(t, sh, tc.doc, tc.xsd)
-		if want.Code != http.StatusOK || got.Code != http.StatusOK {
-			t.Fatalf("%s: status tree=%d stream=%d: %s", tc.doc, want.Code, got.Code, got.Body.String())
+		exchange, err := xsdint.Parse(strings.NewReader(tc.xsd), xsdint.Options{Table: ref.Schema.Table.Overlay()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ref.SendDocumentContext(context.Background(), tc.doc, exchange, core.Safe)
+		if err != nil {
+			t.Fatalf("%s: tree reference: %v", tc.doc, err)
+		}
+		var want bytes.Buffer
+		if err := xmlio.WriteTo(&want, out); err != nil {
+			t.Fatal(err)
+		}
+
+		before, _ := p.Telemetry.Value(tc.metric, tc.labels...)
+		got := postExchange(t, h, tc.doc, tc.xsd)
+		if got.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.doc, got.Code, got.Body.String())
 		}
 		if ct := got.Header().Get("Content-Type"); ct != "text/xml; charset=utf-8" {
 			t.Errorf("%s: Content-Type = %q", tc.doc, ct)
 		}
-		if !bytes.Equal(want.Body.Bytes(), got.Body.Bytes()) {
-			t.Errorf("%s: streamed body diverges from tree body\n--- tree ---\n%s\n--- stream ---\n%s",
-				tc.doc, want.Body.String(), got.Body.String())
+		if !bytes.Equal(want.Bytes(), got.Body.Bytes()) {
+			t.Errorf("%s: /exchange body diverges from the tree reference\n--- tree ---\n%s\n--- handler ---\n%s",
+				tc.doc, want.String(), got.Body.String())
+		}
+		if after, _ := p.Telemetry.Value(tc.metric, tc.labels...); after != before+1 {
+			t.Errorf("%s: %s%v went %v -> %v, want +1", tc.doc, tc.metric, tc.labels, before, after)
 		}
 	}
 }
@@ -83,7 +110,6 @@ func TestExchangeStreaming(t *testing.T) {
 // byte keep their clean HTTP statuses on the streaming path.
 func TestExchangeStreamingErrors(t *testing.T) {
 	p := newsPeer(t)
-	p.Streaming = true
 	h := p.Handler()
 	if w := postExchange(t, h, "missing", streamExchangeXSD); w.Code != http.StatusNotFound {
 		t.Errorf("missing document: status %d, want 404", w.Code)
@@ -100,7 +126,6 @@ func TestExchangeStreamingErrors(t *testing.T) {
 // truncated document were complete.
 func TestExchangeStreamingAbort(t *testing.T) {
 	p := newsPeer(t)
-	p.Streaming = true
 	// A document whose long valid function-free prefix overflows the
 	// emitter's buffer (a function child would start an island and buffer
 	// the rest) before a final element the content model rejects.

@@ -18,10 +18,11 @@ import (
 // and recovery at Open loads the newest valid snapshot, replays the WAL
 // tail, and truncates any torn final record.
 //
-// The embedded *Repository is the live repository: hand it (or the
-// DurableRepository itself — both satisfy DocStore) to a Peer and every
-// mutation path — HTTP PUT/DELETE on /doc/{name}, Materialize, negotiation —
-// becomes durable with no further wiring.
+// The embedded *Repository is the live repository and journals every
+// mutation. Hand the DurableRepository itself to a Peer (Peer.Repo) and
+// every mutation path — HTTP PUT/DELETE on /doc/{name}, Materialize,
+// negotiation — becomes durable with no further wiring, /stats reports the
+// WAL counters, and closing the store writes the final snapshot.
 type DurableRepository struct {
 	*Repository
 
