@@ -88,8 +88,6 @@ type (
 	InvokerFunc = core.InvokerFunc
 	// ContextInvokerFunc adapts a context-aware function to Invoker.
 	ContextInvokerFunc = core.ContextInvokerFunc
-	// LegacyInvoker is the pre-context Invoker shape; adapt with Legacy.
-	LegacyInvoker = core.LegacyInvoker
 	// Audit records the invocation trail of a rewriting, including policy
 	// events (attempts, retries, breaker transitions, degradations).
 	Audit = core.Audit
@@ -242,9 +240,6 @@ func NewRewriter(sender, target *Schema, k int, inv Invoker) *Rewriter {
 func NewRewriterWithConfig(sender, target *Schema, cfg RewriterConfig) *Rewriter {
 	return core.NewRewriterWithConfig(sender, target, cfg)
 }
-
-// Legacy adapts a pre-context LegacyInvoker to the Invoker interface.
-func Legacy(inv LegacyInvoker) Invoker { return core.Legacy(inv) }
 
 // ApplyPolicies wraps inv with the given policies, first outermost.
 func ApplyPolicies(inv Invoker, policies []InvokePolicy) Invoker {
@@ -473,26 +468,6 @@ type (
 	FlightRecord = telemetry.FlightRecord
 	// Health tracks daemon lifecycle for /healthz and /readyz probes.
 	Health = peer.Health
-	// Logger is the dependency-free leveled structured logger; derive
-	// per-component loggers with With, build fields with LogField.
-	Logger = obslog.Logger
-	// LogField is one key/value pair on a log line.
-	LogField = obslog.Field
-	// LogLevel orders log severities (LogDebug … LogError).
-	LogLevel = obslog.Level
-	// LogFormat selects text or JSON line encoding.
-	LogFormat = obslog.Format
-)
-
-// Log levels and formats for NewLogger.
-const (
-	LogDebug = obslog.Debug
-	LogInfo  = obslog.Info
-	LogWarn  = obslog.Warn
-	LogError = obslog.Error
-
-	LogText = obslog.Text
-	LogJSON = obslog.JSON
 )
 
 var (
@@ -501,12 +476,9 @@ var (
 	NewFlight = telemetry.NewFlight
 	// NewHealth builds a not-yet-ready lifecycle tracker.
 	NewHealth = peer.NewHealth
-	// NewLogger builds a structured logger writing to w.
+	// NewLogger builds a *slog.Logger writing to w at a slog level, as
+	// text (0) or JSON (1) lines that carry the context's trace ID.
 	NewLogger = obslog.New
-	// LogField constructor and level/format parsers.
-	LogF           = obslog.F
-	ParseLogLevel  = obslog.ParseLevel
-	ParseLogFormat = obslog.ParseFormat
 	// InjectTraceContext writes the context's trace identity into an
 	// outbound header as a W3C traceparent; ExtractTraceContext reads one
 	// back, and WithRemoteTrace makes root spans join the remote trace.

@@ -89,6 +89,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net"
 	"net/http"
@@ -168,9 +169,9 @@ func run(p *peer.Peer, opts options) int {
 		// pinned the address to loopback.
 		pprofSrv = &http.Server{Addr: opts.pprof, Handler: http.DefaultServeMux}
 		go func() {
-			logger.Info(nil, "pprof serving", obslog.F("addr", opts.pprof))
+			logger.Info("pprof serving", slog.String("addr", opts.pprof))
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error(nil, "pprof listener failed", obslog.Err(err))
+				logger.Error("pprof listener failed", slog.Any("error", err))
 			}
 		}()
 	}
@@ -193,17 +194,17 @@ func run(p *peer.Peer, opts options) int {
 	p.Health.SetReady(true)
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info(nil, "serving",
-			obslog.F("peer", p.Name),
-			obslog.F("addr", opts.addr),
-			obslog.F("k", p.K),
-			obslog.F("mode", p.Mode),
-			obslog.F("store", opts.storeBackend),
-			obslog.F("data_dir", opts.dataDir),
-			obslog.F("role", opts.role),
-			obslog.F("telemetry", p.Telemetry != nil),
-			obslog.F("durable", durable),
-			obslog.F("version", buildVersion()),
+		logger.Info("serving",
+			slog.String("peer", p.Name),
+			slog.String("addr", opts.addr),
+			slog.Int("k", p.K),
+			slog.String("mode", p.Mode.String()),
+			slog.String("store", opts.storeBackend),
+			slog.String("data_dir", opts.dataDir),
+			slog.String("role", opts.role),
+			slog.Bool("telemetry", p.Telemetry != nil),
+			slog.Bool("durable", durable),
+			slog.String("version", buildVersion()),
 		)
 		errc <- srv.ListenAndServe()
 	}()
@@ -215,12 +216,12 @@ func run(p *peer.Peer, opts options) int {
 		// Flip readiness first so load balancers stop routing while
 		// in-flight requests drain.
 		p.Health.StartDrain()
-		logger.Info(nil, "signal received, draining",
-			obslog.F("store", opts.storeBackend), obslog.F("data_dir", opts.dataDir))
+		logger.Info("signal received, draining",
+			slog.String("store", opts.storeBackend), slog.String("data_dir", opts.dataDir))
 		sd, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(sd); err != nil {
-			logger.Error(nil, "shutdown failed", obslog.Err(err))
+			logger.Error("shutdown failed", slog.Any("error", err))
 			exit = 1
 		}
 		if pprofSrv != nil {
@@ -228,19 +229,19 @@ func run(p *peer.Peer, opts options) int {
 		}
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error(nil, "listener failed", obslog.Err(err))
+			logger.Error("listener failed", slog.Any("error", err))
 			exit = 1
 		}
 	}
 	fstop()
 	fwg.Wait()
 	if err := p.Repo.Close(); err != nil {
-		logger.Error(nil, "closing store failed",
-			obslog.Err(err), obslog.F("store", opts.storeBackend), obslog.F("data_dir", opts.dataDir))
+		logger.Error("closing store failed",
+			slog.Any("error", err), slog.String("store", opts.storeBackend), slog.String("data_dir", opts.dataDir))
 		exit = 1
 	} else if durable {
-		logger.Info(nil, "final snapshot written",
-			obslog.F("store", opts.storeBackend), obslog.F("data_dir", opts.dataDir))
+		logger.Info("final snapshot written",
+			slog.String("store", opts.storeBackend), slog.String("data_dir", opts.dataDir))
 	}
 	return exit
 }
@@ -260,8 +261,10 @@ const (
 // never drains a response cannot pin a handler goroutine (and, under
 // -data-dir, a WAL lock) forever. Graceful shutdown is unaffected — Shutdown
 // still drains in-flight requests that progress within their windows.
+// net/http's own error lines (superfluous WriteHeader calls, handler
+// panics) go to the daemon's structured log at Error level.
 func newHTTPServer(h http.Handler, opts options) *http.Server {
-	return &http.Server{
+	srv := &http.Server{
 		Addr:              opts.addr,
 		Handler:           h,
 		ReadHeaderTimeout: opts.readHeaderTimeout,
@@ -269,6 +272,10 @@ func newHTTPServer(h http.Handler, opts options) *http.Server {
 		WriteTimeout:      opts.writeTimeout,
 		IdleTimeout:       opts.idleTimeout,
 	}
+	if opts.logger != nil {
+		srv.ErrorLog = slog.NewLogLogger(opts.logger.Handler(), slog.LevelError)
+	}
+	return srv
 }
 
 // options carries the daemon-level settings that are not part of the peer.
@@ -276,7 +283,7 @@ type options struct {
 	addr  string
 	pprof string // "" = pprof disabled; otherwise a loopback host:port
 
-	logger       *obslog.Logger
+	logger       *slog.Logger
 	storeBackend string
 	dataDir      string
 	role         string
@@ -482,7 +489,7 @@ func configure(args []string) (*peer.Peer, options, error) {
 	p.Health = peer.NewHealth()
 	// Request and policy-event log lines carry the store backend so a
 	// fleet's mixed-backend logs attribute latency to the right engine.
-	p.Logger = logger.With(obslog.F("store", backend))
+	p.Logger = logger.With(slog.String("store", backend))
 	if *telemetryOn {
 		p.Telemetry = telemetry.NewRegistry()
 		p.Telemetry.Gauge("axml_build_info",
@@ -529,22 +536,22 @@ func configure(args []string) (*peer.Peer, options, error) {
 		case *store.DurableRepository:
 			durable = s
 			ds := s.Stats()
-			logger.Info(nil, "durable repository recovered",
-				obslog.F("store", backend),
-				obslog.F("data_dir", *dataDir),
-				obslog.F("documents", ds.RecoveredDocuments),
-				obslog.F("wal_replayed", ds.WAL.RecoveryReplayed),
-				obslog.F("wal_truncated", ds.WAL.RecoveryTruncated),
+			logger.Info("durable repository recovered",
+				slog.String("store", backend),
+				slog.String("data_dir", *dataDir),
+				slog.Int("documents", ds.RecoveredDocuments),
+				slog.Int("wal_replayed", ds.WAL.RecoveryReplayed),
+				slog.Int("wal_truncated", ds.WAL.RecoveryTruncated),
 			)
 		case *store.Disk:
 			ds := s.Stats()
-			logger.Info(nil, "disk store opened",
-				obslog.F("store", backend),
-				obslog.F("data_dir", *dataDir),
-				obslog.F("documents", ds.Documents),
-				obslog.F("shards", ds.Disk.Shards),
-				obslog.F("index_repairs", ds.Disk.IndexRepairs),
-				obslog.F("hot_cache", ds.Disk.HotCacheCap),
+			logger.Info("disk store opened",
+				slog.String("store", backend),
+				slog.String("data_dir", *dataDir),
+				slog.Int("documents", ds.Documents),
+				slog.Int("shards", ds.Disk.Shards),
+				slog.Int("index_repairs", ds.Disk.IndexRepairs),
+				slog.Int("hot_cache", ds.Disk.HotCacheCap),
 			)
 		}
 	}
@@ -555,11 +562,11 @@ func configure(args []string) (*peer.Peer, options, error) {
 		if err != nil {
 			return nil, options{}, err
 		}
-		logger.Info(nil, "documents loaded",
-			obslog.F("store", backend),
-			obslog.F("dir", *docsDir),
-			obslog.F("loaded", loaded),
-			obslog.F("total", p.Repo.Len()),
+		logger.Info("documents loaded",
+			slog.String("store", backend),
+			slog.String("dir", *docsDir),
+			slog.Int("loaded", loaded),
+			slog.Int("total", p.Repo.Len()),
 		)
 	}
 	if *simSeed >= 0 {
@@ -578,8 +585,8 @@ func configure(args []string) (*peer.Peer, options, error) {
 				return nil, options{}, err
 			}
 		}
-		logger.Info(nil, "simulated operations registered",
-			obslog.F("count", len(s.Funcs)), obslog.F("seed", *simSeed))
+		logger.Info("simulated operations registered",
+			slog.Int("count", len(s.Funcs)), slog.Int64("seed", *simSeed))
 	}
 	var follower *replica.Follower
 	switch *role {
@@ -588,13 +595,13 @@ func configure(args []string) (*peer.Peer, options, error) {
 		src := replica.NewSource(durable, p.Telemetry)
 		p.Replica = src.Handler()
 		p.ReplicaStats = func() any { return src.Stats() }
-		logger.Info(nil, "replication source ready",
-			obslog.F("epoch", src.Epoch()), obslog.F("tail_records", tail))
+		logger.Info("replication source ready",
+			slog.String("epoch", src.Epoch()), slog.Int("tail_records", tail))
 	case "follower":
 		follower = replica.NewFollower(replica.FollowerOptions{
 			Leader:   strings.TrimRight(*leaderURL, "/"),
 			Store:    p.Repo,
-			Logger:   logger.With(obslog.F("component", "replica")),
+			Logger:   logger.With(slog.String("component", "replica")),
 			Registry: p.Telemetry,
 		})
 		// Hot-standby: the apply loop owns the store; HTTP serves reads

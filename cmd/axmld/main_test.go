@@ -1,17 +1,20 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"axml/internal/doc"
 	"axml/internal/store"
+	"axml/internal/telemetry/obslog"
 )
 
 func writeSchema(t *testing.T) string {
@@ -322,5 +325,66 @@ func TestServerDropsStalledClient(t *testing.T) {
 	buf := make([]byte, 1)
 	if _, err := conn.Read(buf); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("stalled connection not closed by the server: read err = %v", err)
+	}
+}
+
+// lockedBuffer is a log sink the server goroutines and the test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServerErrorLogStructured: net/http's own error lines (here a
+// superfluous WriteHeader) land in the daemon's structured log as JSON
+// objects instead of reaching stderr as plain text.
+func TestServerErrorLogStructured(t *testing.T) {
+	logs := &lockedBuffer{}
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.WriteHeader(http.StatusInternalServerError)
+	})
+	srv := newHTTPServer(h, options{logger: obslog.New(logs, obslog.Info, obslog.JSON)})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+			var obj map[string]any
+			if json.Unmarshal([]byte(line), &obj) != nil {
+				continue
+			}
+			if msg, _ := obj["msg"].(string); strings.Contains(msg, "superfluous") {
+				if obj["level"] != "error" {
+					t.Errorf("level = %v, want error", obj["level"])
+				}
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no JSON line with a superfluous-WriteHeader msg in the log:\n%s", logs.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
@@ -25,7 +26,6 @@ import (
 	"axml/internal/soap"
 	"axml/internal/store"
 	"axml/internal/telemetry"
-	"axml/internal/telemetry/obslog"
 	"axml/internal/wsdl"
 )
 
@@ -82,7 +82,7 @@ type Peer struct {
 	// request (method, route, status, bytes, duration, trace ID) and one
 	// per notable invocation-policy event (retries, timeouts, breaker
 	// transitions). Works with or without Telemetry; nil disables logging.
-	Logger *obslog.Logger
+	Logger *slog.Logger
 	// Flight, if set, records the slowest and all failed requests — span
 	// tree, audit events, per-stage latency — served at /debug/slow.
 	Flight *telemetry.Flight
@@ -204,38 +204,38 @@ func (p *Peer) eventSink() core.EventSink {
 
 // eventLogSink bridges core.InvokeEvent onto the structured logger.
 type eventLogSink struct {
-	log *obslog.Logger
+	log *slog.Logger
 }
 
 func (s *eventLogSink) RecordEvent(e core.InvokeEvent) {
-	var lv obslog.Level
+	var lv slog.Level
 	switch e.Kind {
 	case core.EventAttempt:
 		return // one per call: far too chatty for a log stream
 	case core.EventRetryWait, core.EventBreakerHalfOpen, core.EventBreakerClose:
-		lv = obslog.Info
+		lv = slog.LevelInfo
 	default:
 		// exhausted, timeout, fault, degraded, breaker open/reject
-		lv = obslog.Warn
+		lv = slog.LevelWarn
 	}
-	fields := make([]obslog.Field, 0, 6)
-	fields = append(fields, obslog.F("kind", e.Kind), obslog.F("func", e.Func))
+	attrs := make([]slog.Attr, 0, 7)
+	attrs = append(attrs, slog.String("kind", e.Kind), slog.String("func", e.Func))
 	if e.Endpoint != "" {
-		fields = append(fields, obslog.F("endpoint", e.Endpoint))
+		attrs = append(attrs, slog.String("endpoint", e.Endpoint))
 	}
 	if e.Attempt > 0 {
-		fields = append(fields, obslog.F("attempt", e.Attempt))
+		attrs = append(attrs, slog.Int("attempt", e.Attempt))
 	}
 	if e.Wait > 0 {
-		fields = append(fields, obslog.F("wait", e.Wait))
+		attrs = append(attrs, slog.Duration("wait", e.Wait))
 	}
 	if e.Rewrite != "" {
-		fields = append(fields, obslog.F("trace_id", e.Rewrite))
+		attrs = append(attrs, slog.String("trace_id", e.Rewrite))
 	}
 	if e.Err != "" {
-		fields = append(fields, obslog.F("error", e.Err))
+		attrs = append(attrs, slog.String("error", e.Err))
 	}
-	s.log.Log(nil, lv, "invoke event", fields...)
+	s.log.LogAttrs(context.TODO(), lv, "invoke event", attrs...)
 }
 
 // SendDocument is the paper's Figure 1 scenario: materialize the named

@@ -1,49 +1,33 @@
-// Package obslog is a dependency-free leveled structured logger for the
-// serving path. Lines render as JSON (one object per line, machine
-// ingestible) or text (human readable); both carry the trace ID in
-// effect on the calling context so a request-log line, its span tree in
+// Package obslog configures log/slog for the serving path. Lines render
+// as JSON (one object per line, machine ingestible) or text (slog's
+// key=value shape); both carry the trace ID in effect on the calling
+// context as trace_id, so a request-log line, its span tree in
 // /debug/traces, and its audit events correlate on one ID.
 //
-// A nil *Logger no-ops on every method, so components take a logger
-// field without branching on whether logging is configured.
+// The JSON key contract: ts (RFC 3339, UTC), level (lowercase), msg,
+// the line's attributes, and trace_id when the context carries one;
+// durations render as Go duration strings such as "1.5ms".
 package obslog
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
 	"strings"
-	"sync"
-	"time"
 
 	"axml/internal/telemetry"
 )
 
-// Level orders log severities.
-type Level int8
+// Level orders log severities; it is slog's own level type.
+type Level = slog.Level
 
 const (
-	Debug Level = iota
-	Info
-	Warn
-	Error
+	Debug = slog.LevelDebug
+	Info  = slog.LevelInfo
+	Warn  = slog.LevelWarn
+	Error = slog.LevelError
 )
-
-// String returns the lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case Debug:
-		return "debug"
-	case Info:
-		return "info"
-	case Warn:
-		return "warn"
-	case Error:
-		return "error"
-	}
-	return "level(" + strconv.Itoa(int(l)) + ")"
-}
 
 // ParseLevel parses a level name (case-insensitive; "warning" is
 // accepted for "warn").
@@ -80,227 +64,49 @@ func ParseFormat(s string) (Format, error) {
 	return Text, fmt.Errorf("unknown log format %q (text|json)", s)
 }
 
-// Field is one key/value pair attached to a log line.
-type Field struct {
-	Key   string
-	Value any
-}
-
-// F builds a field.
-func F(key string, value any) Field { return Field{Key: key, Value: value} }
-
-// Err builds an "error" field (skipped when err is nil).
-func Err(err error) Field {
-	if err == nil {
-		return Field{}
-	}
-	return Field{Key: "error", Value: err.Error()}
-}
-
-// Logger writes leveled structured lines to one writer. Loggers derived
-// via With share the writer and its mutex, so lines from all of them
-// interleave whole.
-type Logger struct {
-	mu     *sync.Mutex
-	w      io.Writer
-	level  Level
-	format Format
-	base   []Field
-	now    func() time.Time
-}
-
 // New returns a logger writing lines at or above level to w.
-func New(w io.Writer, level Level, format Format) *Logger {
-	return &Logger{
-		mu:     new(sync.Mutex),
-		w:      w,
-		level:  level,
-		format: format,
-		now:    time.Now,
+func New(w io.Writer, level Level, format Format) *slog.Logger {
+	opts := &slog.HandlerOptions{Level: level, ReplaceAttr: replaceAttr}
+	var h slog.Handler = slog.NewTextHandler(w, opts)
+	if format == JSON {
+		h = slog.NewJSONHandler(w, opts)
 	}
+	return slog.New(traceHandler{h})
 }
 
-// With returns a logger that stamps fields on every line it writes.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil || len(fields) == 0 {
-		return l
-	}
-	d := *l
-	d.base = append(append(make([]Field, 0, len(l.base)+len(fields)), l.base...), fields...)
-	return &d
-}
-
-// Enabled reports whether lines at lv would be written.
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && lv >= l.level
-}
-
-// Debug logs at Debug level.
-func (l *Logger) Debug(ctx context.Context, msg string, fields ...Field) {
-	l.Log(ctx, Debug, msg, fields...)
-}
-
-// Info logs at Info level.
-func (l *Logger) Info(ctx context.Context, msg string, fields ...Field) {
-	l.Log(ctx, Info, msg, fields...)
-}
-
-// Warn logs at Warn level.
-func (l *Logger) Warn(ctx context.Context, msg string, fields ...Field) {
-	l.Log(ctx, Warn, msg, fields...)
-}
-
-// Error logs at Error level.
-func (l *Logger) Error(ctx context.Context, msg string, fields ...Field) {
-	l.Log(ctx, Error, msg, fields...)
-}
-
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-// Log writes one line. The trace ID in effect on ctx (an enclosing span
-// or an extracted traceparent) is stamped as trace_id; a nil ctx skips
-// it. Fields with empty keys are dropped, letting Err(nil) no-op.
-func (l *Logger) Log(ctx context.Context, lv Level, msg string, fields ...Field) {
-	if !l.Enabled(lv) {
-		return
-	}
-	traceID := telemetry.TraceIDFrom(ctx)
-	bp := bufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	if l.format == JSON {
-		b = append(b, `{"ts":"`...)
-		b = l.now().UTC().AppendFormat(b, time.RFC3339Nano)
-		b = append(b, `","level":"`...)
-		b = append(b, lv.String()...)
-		b = append(b, `","msg":`...)
-		b = appendJSONString(b, msg)
-		if traceID != "" {
-			b = append(b, `,"trace_id":`...)
-			b = appendJSONString(b, traceID)
-		}
-		for _, f := range l.base {
-			b = appendJSONField(b, f)
-		}
-		for _, f := range fields {
-			b = appendJSONField(b, f)
-		}
-		b = append(b, '}', '\n')
-	} else {
-		b = l.now().UTC().AppendFormat(b, "2006-01-02T15:04:05.000Z")
-		b = append(b, ' ')
-		lvs := strings.ToUpper(lv.String())
-		b = append(b, lvs...)
-		for i := len(lvs); i < 5; i++ {
-			b = append(b, ' ')
-		}
-		b = append(b, ' ')
-		b = append(b, msg...)
-		if traceID != "" {
-			b = append(b, " trace_id="...)
-			b = appendTextValue(b, traceID)
-		}
-		for _, f := range l.base {
-			b = appendTextField(b, f)
-		}
-		for _, f := range fields {
-			b = appendTextField(b, f)
-		}
-		b = append(b, '\n')
-	}
-	l.mu.Lock()
-	_, _ = l.w.Write(b)
-	l.mu.Unlock()
-	*bp = b[:0]
-	bufPool.Put(bp)
-}
-
-func appendJSONField(b []byte, f Field) []byte {
-	if f.Key == "" {
-		return b
-	}
-	b = append(b, ',')
-	b = appendJSONString(b, f.Key)
-	b = append(b, ':')
-	return appendJSONValue(b, f.Value)
-}
-
-func appendJSONValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(b, "null"...)
-	case string:
-		return appendJSONString(b, x)
-	case bool:
-		return strconv.AppendBool(b, x)
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case float64:
-		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case time.Duration:
-		return appendJSONString(b, x.String())
-	case time.Time:
-		return appendJSONString(b, x.UTC().Format(time.RFC3339Nano))
-	case error:
-		return appendJSONString(b, x.Error())
-	case fmt.Stringer:
-		return appendJSONString(b, x.String())
-	default:
-		return appendJSONString(b, fmt.Sprint(x))
-	}
-}
-
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c == '\n':
-			b = append(b, '\\', 'n')
-		case c == '\r':
-			b = append(b, '\\', 'r')
-		case c == '\t':
-			b = append(b, '\\', 't')
-		case c < 0x20:
-			const hexdigits = "0123456789abcdef"
-			b = append(b, '\\', 'u', '0', '0', hexdigits[c>>4], hexdigits[c&0xf])
-		default:
-			// Multi-byte UTF-8 passes through unescaped; JSON allows it.
-			b = append(b, c)
+// replaceAttr keeps the key contract: slog's "time" becomes ts in UTC,
+// the level is lowercase, and durations render as Go duration strings
+// rather than JSON nanosecond integers.
+func replaceAttr(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) == 0 {
+		switch a.Key {
+		case slog.TimeKey:
+			return slog.Time("ts", a.Value.Time().UTC())
+		case slog.LevelKey:
+			return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
 		}
 	}
-	return append(b, '"')
+	if a.Value.Kind() == slog.KindDuration {
+		return slog.String(a.Key, a.Value.Duration().String())
+	}
+	return a
 }
 
-func appendTextField(b []byte, f Field) []byte {
-	if f.Key == "" {
-		return b
+// traceHandler stamps the context's trace ID (an enclosing span's or an
+// extracted traceparent's) on every line as trace_id.
+type traceHandler struct{ slog.Handler }
+
+func (h traceHandler) Handle(ctx context.Context, r slog.Record) error {
+	if id := telemetry.TraceIDFrom(ctx); id != "" {
+		r.AddAttrs(slog.String("trace_id", id))
 	}
-	b = append(b, ' ')
-	b = append(b, f.Key...)
-	b = append(b, '=')
-	return appendTextValue(b, textValue(f.Value))
+	return h.Handler.Handle(ctx, r)
 }
 
-func textValue(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case error:
-		return x.Error()
-	default:
-		return fmt.Sprint(x)
-	}
+func (h traceHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	return traceHandler{h.Handler.WithAttrs(attrs)}
 }
 
-func appendTextValue(b []byte, s string) []byte {
-	if s == "" || strings.ContainsAny(s, " \t\n\"=") {
-		return strconv.AppendQuote(b, s)
-	}
-	return append(b, s...)
+func (h traceHandler) WithGroup(name string) slog.Handler {
+	return traceHandler{h.Handler.WithGroup(name)}
 }

@@ -1,124 +1,141 @@
 package obslog
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
+	"log/slog"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"axml/internal/telemetry"
 )
 
-func fixedNow() time.Time {
-	return time.Date(2026, 8, 9, 12, 0, 0, 500_000_000, time.UTC)
-}
-
-func newTestLogger(lv Level, f Format) (*Logger, *strings.Builder) {
-	var sb strings.Builder
-	l := New(&sb, lv, f)
-	l.now = fixedNow
-	return l, &sb
-}
-
-func TestJSONLine(t *testing.T) {
-	l, sb := newTestLogger(Info, JSON)
-	ctx := telemetry.WithTraceID(context.Background(), "deadbeef-00000001")
-	l.Info(ctx, "request served",
-		F("status", 200),
-		F("duration", 1500*time.Microsecond),
-		F("path", `/a "b"`),
-		Err(errors.New("boom")),
-		Err(nil),
-	)
-	line := sb.String()
-	if !strings.HasSuffix(line, "\n") {
-		t.Fatalf("line not newline-terminated: %q", line)
-	}
-	var got map[string]any
-	if err := json.Unmarshal([]byte(line), &got); err != nil {
-		t.Fatalf("not valid JSON: %v\n%s", err, line)
-	}
-	if got["ts"] != "2026-08-09T12:00:00.5Z" {
-		t.Errorf("ts = %v", got["ts"])
-	}
-	if got["level"] != "info" || got["msg"] != "request served" {
-		t.Errorf("level/msg = %v/%v", got["level"], got["msg"])
-	}
-	if got["trace_id"] != "deadbeef-00000001" {
-		t.Errorf("trace_id = %v", got["trace_id"])
-	}
-	if got["status"] != float64(200) {
-		t.Errorf("status = %v", got["status"])
-	}
-	if got["duration"] != "1.5ms" {
-		t.Errorf("duration = %v", got["duration"])
-	}
-	if got["path"] != `/a "b"` {
-		t.Errorf("path did not round-trip: %v", got["path"])
-	}
-	if got["error"] != "boom" {
-		t.Errorf("error = %v", got["error"])
-	}
-}
-
-func TestTextLine(t *testing.T) {
-	l, sb := newTestLogger(Debug, Text)
-	l.Warn(nil, "breaker open", F("endpoint", "Get_Temp"), F("wait", "1s 500ms"))
-	line := sb.String()
-	for _, want := range []string{"WARN", "breaker open", "endpoint=Get_Temp", `wait="1s 500ms"`} {
-		if !strings.Contains(line, want) {
-			t.Errorf("line %q missing %q", line, want)
+// formats is the table every test runs over: each line format with a
+// decoder turning one line back into key → value strings.
+var formats = []struct {
+	name   string
+	format Format
+	decode func(line string) (map[string]string, error)
+}{
+	{"json", JSON, func(line string) (map[string]string, error) {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			return nil, err
 		}
+		out := make(map[string]string, len(m))
+		for k, v := range m {
+			out[k] = fmt.Sprint(v)
+		}
+		return out, nil
+	}},
+	{"text", Text, func(line string) (map[string]string, error) {
+		out := map[string]string{}
+		for _, kv := range strings.Fields(line) {
+			k, v, ok := strings.Cut(kv, "=")
+			if !ok {
+				return nil, fmt.Errorf("field %q is not key=value", kv)
+			}
+			out[k] = v
+		}
+		return out, nil
+	}},
+}
+
+// lines splits a buffer of log output into decoded lines.
+func lines(t *testing.T, decode func(string) (map[string]string, error), buf *bytes.Buffer) []map[string]string {
+	t.Helper()
+	var out []map[string]string
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		if line == "" {
+			continue
+		}
+		m, err := decode(line)
+		if err != nil {
+			t.Fatalf("undecodable line %q: %v", line, err)
+		}
+		out = append(out, m)
 	}
-	if strings.Contains(line, "trace_id") {
-		t.Errorf("nil ctx must not stamp a trace ID: %q", line)
+	return out
+}
+
+// TestLineContract pins the keys the log stream's consumers rely on: ts
+// in UTC, a lowercase level, msg, trace_id from either an enclosing span
+// or WithTraceID, and durations as Go duration strings.
+func TestLineContract(t *testing.T) {
+	// A non-UTC local zone proves ts is converted, not merely formatted.
+	defer func(loc *time.Location) { time.Local = loc }(time.Local)
+	time.Local = time.FixedZone("UTC+5", 5*3600)
+
+	reg := telemetry.NewRegistry()
+	spanCtx, span := telemetry.StartSpan(telemetry.WithRegistry(context.Background(), reg), "op")
+	defer span.End(nil)
+	idCtx := telemetry.WithTraceID(context.Background(), "deadbeef-00000001")
+
+	for _, f := range formats {
+		t.Run(f.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			l := New(&buf, Info, f.format)
+			l.LogAttrs(spanCtx, Info, "request", slog.Duration("duration", 1500*time.Microsecond))
+			l.LogAttrs(idCtx, Warn, "retry", slog.Int("attempt", 2))
+			want := []map[string]string{
+				{"level": "info", "msg": "request", "trace_id": span.TraceID(), "duration": "1.5ms"},
+				{"level": "warn", "msg": "retry", "trace_id": "deadbeef-00000001", "attempt": "2"},
+			}
+			got := lines(t, f.decode, &buf)
+			if len(got) != len(want) {
+				t.Fatalf("got %d lines, want %d:\n%s", len(got), len(want), buf.String())
+			}
+			for i := range want {
+				ts, err := time.Parse(time.RFC3339Nano, got[i]["ts"])
+				if err != nil || ts.Location() != time.UTC {
+					t.Errorf("line %d: ts = %q, want RFC 3339 in UTC", i, got[i]["ts"])
+				}
+				for k, v := range want[i] {
+					if got[i][k] != v {
+						t.Errorf("line %d: %s = %q, want %q", i, k, got[i][k], v)
+					}
+				}
+			}
+		})
 	}
 }
 
 func TestLevelFiltering(t *testing.T) {
-	l, sb := newTestLogger(Warn, Text)
-	l.Debug(nil, "nope")
-	l.Info(nil, "nope")
-	if sb.Len() != 0 {
-		t.Fatalf("below-level lines written: %q", sb.String())
-	}
-	l.Error(nil, "yes")
-	if !strings.Contains(sb.String(), "yes") {
-		t.Error("at-level line not written")
-	}
-	if l.Enabled(Info) || !l.Enabled(Error) {
-		t.Error("Enabled disagrees with filtering")
+	for _, f := range formats {
+		t.Run(f.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			l := New(&buf, Warn, f.format)
+			l.Debug("nope")
+			l.Info("nope")
+			l.Error("yes")
+			got := lines(t, f.decode, &buf)
+			if len(got) != 1 || got[0]["msg"] != "yes" || got[0]["level"] != "error" {
+				t.Fatalf("want only the error line, got:\n%s", buf.String())
+			}
+			if l.Enabled(context.Background(), Info) || !l.Enabled(context.Background(), Error) {
+				t.Error("Enabled disagrees with filtering")
+			}
+		})
 	}
 }
 
+// TestWithFields: attributes bound with With reach every line, and the
+// derived logger still stamps the context's trace ID.
 func TestWithFields(t *testing.T) {
-	l, sb := newTestLogger(Info, JSON)
-	dl := l.With(F("peer", "news"), F("store", "mem"))
-	dl.Info(nil, "hello", F("extra", true))
-	var got map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got["peer"] != "news" || got["store"] != "mem" || got["extra"] != true {
-		t.Errorf("fields = %v", got)
-	}
-	// The parent logger must not see the derived fields.
-	sb.Reset()
-	l.Info(nil, "parent")
-	if strings.Contains(sb.String(), "peer") {
-		t.Errorf("parent logger polluted: %q", sb.String())
-	}
-}
-
-func TestNilLogger(t *testing.T) {
-	var l *Logger
-	l.Info(nil, "no-op")          // must not panic
-	l.With(F("k", "v")).Error(nil, "x")
-	if l.Enabled(Error) {
-		t.Error("nil logger reports enabled")
+	ctx := telemetry.WithTraceID(context.Background(), "deadbeef-00000002")
+	for _, f := range formats {
+		t.Run(f.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			l := New(&buf, Info, f.format).With(slog.String("store", "mem"))
+			l.InfoContext(ctx, "hello")
+			got := lines(t, f.decode, &buf)
+			if len(got) != 1 || got[0]["store"] != "mem" || got[0]["trace_id"] != "deadbeef-00000002" {
+				t.Errorf("line = %q, want store=mem and the trace ID", buf.String())
+			}
+		})
 	}
 }
 
@@ -136,55 +153,3 @@ func TestParseHelpers(t *testing.T) {
 		t.Error("ParseFormat accepted junk")
 	}
 }
-
-func TestJSONEscaping(t *testing.T) {
-	l, sb := newTestLogger(Info, JSON)
-	weird := "a\"b\\c\nd\te\x01f"
-	l.Info(nil, weird, F("k", weird))
-	var got map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
-		t.Fatalf("escaping broke JSON: %v\n%s", err, sb.String())
-	}
-	if got["msg"] != weird || got["k"] != weird {
-		t.Errorf("escaping did not round-trip: %v", got)
-	}
-}
-
-// TestConcurrentWriters proves lines interleave whole (one Write per
-// line under the shared mutex), including across With-derived loggers.
-func TestConcurrentWriters(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		lines = append(lines, string(p))
-		mu.Unlock()
-		return len(p), nil
-	})
-	l := New(w, Info, JSON)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			dl := l.With(F("g", g))
-			for i := 0; i < 50; i++ {
-				dl.Info(nil, "line", F("i", i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if len(lines) != 200 {
-		t.Fatalf("got %d writes, want 200", len(lines))
-	}
-	for _, line := range lines {
-		var got map[string]any
-		if err := json.Unmarshal([]byte(line), &got); err != nil {
-			t.Fatalf("torn line %q: %v", line, err)
-		}
-	}
-}
-
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
