@@ -337,8 +337,6 @@ type (
 	// DurableRepository is a Repository backed by a write-ahead log and
 	// crash-safe snapshots (the "wal" backend of OpenStore).
 	DurableRepository = store.DurableRepository
-	// ConflictPolicy decides what Repository.LoadDirWith does on collision.
-	ConflictPolicy = store.ConflictPolicy
 	// WALSyncMode selects the WAL fsync discipline for StoreOptions.
 	WALSyncMode = wal.SyncMode
 )
@@ -383,13 +381,6 @@ func OpenStore(opts StoreOptions) (DocStore, error) { return store.Open(opts) }
 // StoreFuncNames lists the distinct function labels embedded in a document,
 // sorted — the record a FunctionIndex maintains per document.
 func StoreFuncNames(d *Node) []string { return store.FuncNames(d) }
-
-// LoadDir conflict policies.
-const (
-	KeepExisting   = store.KeepExisting
-	Overwrite      = store.Overwrite
-	FailOnConflict = store.FailOnConflict
-)
 
 // WAL fsync disciplines.
 const (

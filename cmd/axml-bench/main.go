@@ -327,7 +327,7 @@ func benchWAL(path string) error {
 		if err != nil {
 			return err
 		}
-		d, err := store.OpenDurable(dir, store.DurableOptions{Sync: mode, SnapshotEvery: 4096})
+		d, err := store.OpenDurable(store.Options{Dir: dir, Sync: mode, SnapshotEvery: 4096})
 		if err != nil {
 			os.RemoveAll(dir)
 			return err
@@ -391,10 +391,10 @@ func benchStore(path string) error {
 	}{
 		{store.BackendMem, func(string) (store.DocStore, error) { return store.NewRepository(), nil }},
 		{store.BackendWAL, func(dir string) (store.DocStore, error) {
-			return store.OpenDurable(dir, store.DurableOptions{Sync: wal.SyncNone, SnapshotEvery: 4096})
+			return store.OpenDurable(store.Options{Dir: dir, Sync: wal.SyncNone, SnapshotEvery: 4096})
 		}},
 		{store.BackendDisk, func(dir string) (store.DocStore, error) {
-			return store.OpenDisk(dir, store.DiskOptions{HotCache: 64, Shards: 16})
+			return store.OpenDisk(store.Options{Dir: dir, HotCache: 64, Shards: 16})
 		}},
 	}
 	report := map[string]any{

@@ -16,12 +16,12 @@
 //	-store wal   durable: every mutation is framed into a write-ahead log
 //	             under -data-dir before it is acknowledged (-wal-sync
 //	             chooses the fsync discipline), the log is compacted into
-//	             crash-safe snapshots every -snapshot-every mutations, and
-//	             boot runs crash recovery — newest valid snapshot plus WAL
-//	             tail, torn trailing records truncated. -data-dir alone
-//	             implies -store wal.
-//	-store disk  disk-sharded: documents live as files across hashed shard
-//	             directories under -data-dir with an LRU hot cache of
+//	             crash-safe snapshots every 1024 mutations, and boot runs
+//	             crash recovery — newest valid snapshot plus WAL tail, torn
+//	             trailing records truncated. -data-dir alone implies
+//	             -store wal.
+//	-store disk  disk-sharded: documents live as files across 16 hashed
+//	             shard directories under -data-dir with an LRU hot cache of
 //	             -hot-cache decoded documents (cold reads fault lazily) and
 //	             a persistent per-shard function-node index serving
 //	             GET /docs/by-function/{fn}.
@@ -40,7 +40,7 @@
 //	-role leader    requires -store wal; serves the replication protocol
 //	                under GET /replica/snapshot and /replica/stream (the
 //	                WAL's CRC-framed records, re-verified by followers on
-//	                receipt) and keeps -replica-tail records in memory for
+//	                receipt) and keeps the last 4096 records in memory for
 //	                streaming — followers farther behind re-bootstrap from
 //	                a snapshot
 //	-role follower  requires -leader URL; continuously applies the leader's
@@ -58,18 +58,19 @@
 // store (writing a final snapshot under -store wal) before exiting.
 //
 // Outbound service calls made by enforcement rewritings run through the
-// invocation policy chain configured by -call-timeout, -retries,
-// -retry-backoff, -breaker-failures and -breaker-cooldown; -parallel sets
-// the materialization engine's concurrency degree (1 = sequential).
+// invocation policy chain configured by -call-timeout, -retries and
+// -breaker-failures (retry backoff and breaker cooldown are the invoke
+// package defaults); -parallel sets the materialization engine's
+// concurrency degree (1 = sequential).
 //
-// Telemetry is on by default (-telemetry=false disables it): the daemon
-// additionally serves GET /metrics (Prometheus text; OpenMetrics with
-// exemplar trace IDs under `Accept: application/openmetrics-text`),
-// GET /debug/traces (recent spans, JSON) and GET /debug/slow (the flight
-// recorder: the -slow-requests slowest plus all failed requests with
-// span trees, audit events and per-stage timing). -pprof addr serves
-// net/http/pprof on a separate listener restricted to loopback addresses
-// (e.g. -pprof :6060 binds 127.0.0.1:6060).
+// Telemetry is always on: the daemon serves GET /metrics (Prometheus text;
+// OpenMetrics with exemplar trace IDs under
+// `Accept: application/openmetrics-text`), GET /debug/traces (recent spans,
+// JSON) and GET /debug/slow (the flight recorder: the 32 slowest and the 64
+// most recent failed requests with span trees, audit events and per-stage
+// timing). -pprof addr serves net/http/pprof on a separate listener
+// restricted to loopback addresses (e.g. -pprof :6060 binds
+// 127.0.0.1:6060).
 //
 // All daemon output is structured logging: -log-format json|text and
 // -log-level debug|info|warn|error control it. Request log lines carry
@@ -256,6 +257,15 @@ const (
 	defaultIdleTimeout       = 120 * time.Second
 )
 
+// Fixed store settings of the wal backend: compact the WAL into a snapshot
+// every snapshotEvery mutations, and keep the last leaderReplicaTail records
+// in memory on a leader, so followers that far behind resume from the
+// stream instead of re-bootstrapping from a snapshot.
+const (
+	snapshotEvery     = 1024
+	leaderReplicaTail = 4096
+)
+
 // newHTTPServer builds the daemon's listener. Server-side timeouts protect
 // it from slow or stalled clients: a connection that trickles its headers or
 // never drains a response cannot pin a handler goroutine (and, under
@@ -310,34 +320,25 @@ func configure(args []string) (*peer.Peer, options, error) {
 	simSeed := fs.Int64("sim", -1, "register simulated implementations for all declared functions, with this seed")
 	endpoint := fs.String("public", "", "public endpoint URL advertised in WSDL (default http://<addr>/soap)")
 	cacheSize := fs.Int("cache", core.DefaultCompiledCacheSize, "max compiled schema-pair analyses kept per peer (must be positive)")
-	wordCacheSize := fs.Int("word-cache", core.DefaultWordCacheSize, "max word-level verdicts memoized per analysis (must be positive)")
 	maxRequest := fs.Int64("max-request", soap.DefaultMaxRequestBytes, "max SOAP request body bytes (must be positive)")
 	callTimeout := fs.Duration("call-timeout", 0, "per-service-call timeout applied to enforcement invocations (0 disables)")
 	retries := fs.Int("retries", 1, "delivery attempts per service call (1 disables retrying)")
-	retryBackoff := fs.Duration("retry-backoff", invoke.DefaultBaseDelay, "initial backoff between retry attempts")
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive failures opening a per-endpoint circuit breaker (0 disables)")
-	breakerCooldown := fs.Duration("breaker-cooldown", invoke.DefaultBreakerCooldown, "how long an open breaker rejects calls before probing")
 	parallel := fs.Int("parallel", 1, "parallel materialization degree for enforcement rewritings (1 = sequential)")
 	readHeaderTimeout := fs.Duration("read-header-timeout", defaultReadHeaderTimeout, "max time to read a request's headers (0 disables)")
 	readTimeout := fs.Duration("read-timeout", defaultReadTimeout, "max time to read an entire request including the body (0 disables)")
 	writeTimeout := fs.Duration("write-timeout", defaultWriteTimeout, "max time to write a response (0 disables)")
 	idleTimeout := fs.Duration("idle-timeout", defaultIdleTimeout, "max keep-alive idle time between requests (0 disables)")
-	telemetryOn := fs.Bool("telemetry", true, "serve /metrics and /debug/traces and instrument the pipeline")
 	logFormat := fs.String("log-format", "text", "log line format: text | json")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug | info | warn | error")
-	slowRequests := fs.Int("slow-requests", telemetry.DefaultFlightSlow, "slowest requests retained by the /debug/slow flight recorder (0 disables it)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. :6060; empty disables)")
 	storeBackend := fs.String("store", "", "storage backend: mem | wal | disk (default: wal when -data-dir is set, else mem)")
 	hotCache := fs.Int("hot-cache", store.DefaultHotCache, "disk backend: decoded documents kept hot in memory (must be positive)")
-	shards := fs.Int("shards", store.DefaultShards, "disk backend: shard directory count (must be positive)")
 	dataDir := fs.String("data-dir", "", "store directory for the wal and disk backends; empty keeps documents in memory only")
 	walSync := fs.String("wal-sync", "always", "WAL fsync discipline: always | interval | none")
-	walSyncInterval := fs.Duration("wal-sync-interval", wal.DefaultSyncInterval, "background fsync period when -wal-sync=interval")
-	snapshotEvery := fs.Int("snapshot-every", 1024, "compact the WAL into a snapshot after this many mutations (0 = only at shutdown)")
 	role := fs.String("role", "single", "federation role: single | leader (serve /replica to followers; requires -store wal) | follower (replicate from -leader, serve reads only)")
 	peersFlag := fs.String("peers", "", "static federation roster as name=url,name=url — lets function nodes reference peer://<name> endpoints")
 	leaderURL := fs.String("leader", "", "leader base URL to replicate from (requires -role follower)")
-	replicaTail := fs.Int("replica-tail", 4096, "WAL records kept in memory for replication streaming (leader role; followers farther behind bootstrap from a snapshot)")
 	if err := fs.Parse(args); err != nil {
 		return nil, options{}, err
 	}
@@ -350,9 +351,6 @@ func configure(args []string) (*peer.Peer, options, error) {
 	if err != nil {
 		return nil, options{}, fmt.Errorf("-log-level: %w", err)
 	}
-	if *slowRequests < 0 {
-		return nil, options{}, fmt.Errorf("-slow-requests must not be negative, got %d", *slowRequests)
-	}
 	logger := obslog.New(os.Stderr, level, format)
 
 	if *schemaPath == "" {
@@ -362,9 +360,6 @@ func configure(args []string) (*peer.Peer, options, error) {
 	// cache (or worse, misconfigure the peer); reject it up front.
 	if *cacheSize <= 0 {
 		return nil, options{}, fmt.Errorf("-cache must be positive, got %d", *cacheSize)
-	}
-	if *wordCacheSize <= 0 {
-		return nil, options{}, fmt.Errorf("-word-cache must be positive, got %d", *wordCacheSize)
 	}
 	if *maxRequest <= 0 {
 		return nil, options{}, fmt.Errorf("-max-request must be positive, got %d", *maxRequest)
@@ -404,17 +399,8 @@ func configure(args []string) (*peer.Peer, options, error) {
 	if err != nil {
 		return nil, options{}, fmt.Errorf("-wal-sync: %w", err)
 	}
-	if *walSyncInterval <= 0 {
-		return nil, options{}, fmt.Errorf("-wal-sync-interval must be positive, got %v", *walSyncInterval)
-	}
-	if *snapshotEvery < 0 {
-		return nil, options{}, fmt.Errorf("-snapshot-every must not be negative, got %d", *snapshotEvery)
-	}
 	if *hotCache <= 0 {
 		return nil, options{}, fmt.Errorf("-hot-cache must be positive, got %d", *hotCache)
-	}
-	if *shards <= 0 || *shards > store.MaxShards {
-		return nil, options{}, fmt.Errorf("-shards must be in 1..%d, got %d", store.MaxShards, *shards)
 	}
 	backend := *storeBackend
 	switch backend {
@@ -442,9 +428,6 @@ func configure(args []string) (*peer.Peer, options, error) {
 	case "leader":
 		if backend != store.BackendWAL {
 			return nil, options{}, fmt.Errorf("-role leader requires -store wal (the WAL is the replication log), got %q", backend)
-		}
-		if *replicaTail <= 0 {
-			return nil, options{}, fmt.Errorf("-replica-tail must be positive, got %d", *replicaTail)
 		}
 		if *leaderURL != "" {
 			return nil, options{}, fmt.Errorf("-leader requires -role follower")
@@ -482,25 +465,20 @@ func configure(args []string) (*peer.Peer, options, error) {
 	}
 	p.Remote = &soap.Invoker{}
 	p.Enforcement = core.NewCompiledCache(*cacheSize)
-	p.Enforcement.WordCacheCapacity = *wordCacheSize
 	p.MaxRequestBytes = *maxRequest
-	p.Policies = policies(*breakerFailures, *breakerCooldown, *retries, *retryBackoff, *callTimeout)
+	p.Policies = policies(*breakerFailures, *retries, *callTimeout)
 	p.Parallelism = *parallel
 	p.Health = peer.NewHealth()
 	// Request and policy-event log lines carry the store backend so a
 	// fleet's mixed-backend logs attribute latency to the right engine.
 	p.Logger = logger.With(slog.String("store", backend))
-	if *telemetryOn {
-		p.Telemetry = telemetry.NewRegistry()
-		p.Telemetry.Gauge("axml_build_info",
-			"version", buildVersion(),
-			"go_version", runtime.Version(),
-			"store", backend,
-		).Set(1)
-	}
-	if *slowRequests > 0 {
-		p.Flight = telemetry.NewFlight(*slowRequests, 2**slowRequests)
-	}
+	p.Telemetry = telemetry.NewRegistry()
+	p.Telemetry.Gauge("axml_build_info",
+		"version", buildVersion(),
+		"go_version", runtime.Version(),
+		"store", backend,
+	).Set(1)
+	p.Flight = telemetry.NewFlight(telemetry.DefaultFlightSlow, telemetry.DefaultFlightFailed)
 
 	if *peersFlag != "" {
 		roster, err := core.ParseRoster(*peersFlag)
@@ -511,7 +489,7 @@ func configure(args []string) (*peer.Peer, options, error) {
 	}
 	tail := 0
 	if *role == "leader" {
-		tail = *replicaTail
+		tail = leaderReplicaTail
 	}
 	// durable is the WAL-backed store behind p.Repo, if any: the
 	// replication source reads its log.
@@ -521,10 +499,8 @@ func configure(args []string) (*peer.Peer, options, error) {
 			Backend:       backend,
 			Dir:           *dataDir,
 			Sync:          syncMode,
-			SyncInterval:  *walSyncInterval,
-			SnapshotEvery: *snapshotEvery,
+			SnapshotEvery: snapshotEvery,
 			HotCache:      *hotCache,
-			Shards:        *shards,
 			Registry:      p.Telemetry,
 			ReplicaTail:   tail,
 		})
@@ -555,10 +531,11 @@ func configure(args []string) (*peer.Peer, options, error) {
 			)
 		}
 	}
-	// Seeding happens after recovery under KeepExisting: recovered (or
-	// on-disk) state always wins over the -docs seed directory.
+	// Seeding happens after recovery and keeps existing documents:
+	// recovered (or on-disk) state always wins over the -docs seed
+	// directory.
 	if *docsDir != "" {
-		loaded, err := store.SeedDir(p.Repo, *docsDir, store.KeepExisting)
+		loaded, err := store.SeedDir(p.Repo, *docsDir)
 		if err != nil {
 			return nil, options{}, err
 		}
@@ -649,13 +626,13 @@ func loopbackAddr(addr string) (string, error) {
 // breaker outermost (counting post-retry outcomes is deliberate here — a
 // peer's breaker should see what the retry layer could not fix), retries,
 // then a per-attempt timeout.
-func policies(breakerFailures int, breakerCooldown time.Duration, retries int, backoff, callTimeout time.Duration) []core.InvokePolicy {
+func policies(breakerFailures, retries int, callTimeout time.Duration) []core.InvokePolicy {
 	var ps []core.InvokePolicy
 	if breakerFailures > 0 {
-		ps = append(ps, invoke.WithBreaker(invoke.Breaker{Failures: breakerFailures, Cooldown: breakerCooldown}))
+		ps = append(ps, invoke.WithBreaker(invoke.Breaker{Failures: breakerFailures}))
 	}
 	if retries > 1 {
-		ps = append(ps, invoke.WithRetry(invoke.Retry{Attempts: retries, BaseDelay: backoff, Jitter: 0.2}))
+		ps = append(ps, invoke.WithRetry(invoke.Retry{Attempts: retries, Jitter: 0.2}))
 	}
 	if callTimeout > 0 {
 		ps = append(ps, invoke.WithTimeout(callTimeout))

@@ -44,7 +44,7 @@ func TestConfigureRejectsBadFlags(t *testing.T) {
 		{"no schema", nil, "-schema is required"},
 		{"zero cache", []string{"-schema", sp, "-cache", "0"}, "-cache must be positive"},
 		{"negative cache", []string{"-schema", sp, "-cache", "-3"}, "-cache must be positive"},
-		{"zero word cache", []string{"-schema", sp, "-word-cache", "0"}, "-word-cache must be positive"},
+		{"zero word cache", []string{"-schema", sp, "-word-cache", "0"}, "flag provided but not defined: -word-cache"},
 		{"zero max request", []string{"-schema", sp, "-max-request", "0"}, "-max-request must be positive"},
 		{"negative max request", []string{"-schema", sp, "-max-request", "-1"}, "-max-request must be positive"},
 		{"zero retries", []string{"-schema", sp, "-retries", "0"}, "-retries must be at least 1"},
@@ -55,20 +55,24 @@ func TestConfigureRejectsBadFlags(t *testing.T) {
 		{"pprof public", []string{"-schema", sp, "-pprof", "0.0.0.0:6060"}, "loopback"},
 		{"pprof hostname", []string{"-schema", sp, "-pprof", "example.com:6060"}, "loopback"},
 		{"bad wal sync", []string{"-schema", sp, "-wal-sync", "sometimes"}, "-wal-sync"},
-		{"zero sync interval", []string{"-schema", sp, "-wal-sync-interval", "0s"}, "-wal-sync-interval must be positive"},
-		{"negative snapshot every", []string{"-schema", sp, "-snapshot-every", "-1"}, "-snapshot-every must not be negative"},
+		{"zero sync interval", []string{"-schema", sp, "-wal-sync-interval", "0s"}, "flag provided but not defined: -wal-sync-interval"},
+		{"negative snapshot every", []string{"-schema", sp, "-snapshot-every", "-1"}, "flag provided but not defined: -snapshot-every"},
 		{"bad log format", []string{"-schema", sp, "-log-format", "xml"}, "-log-format"},
 		{"bad log level", []string{"-schema", sp, "-log-level", "verbose"}, "-log-level"},
-		{"negative slow requests", []string{"-schema", sp, "-slow-requests", "-1"}, "-slow-requests must not be negative"},
+		{"negative slow requests", []string{"-schema", sp, "-slow-requests", "-1"}, "flag provided but not defined: -slow-requests"},
 		{"bad role", []string{"-schema", sp, "-role", "observer"}, "bad -role"},
 		{"leader without wal", []string{"-schema", sp, "-role", "leader"}, "-role leader requires -store wal"},
-		{"leader zero tail", []string{"-schema", sp, "-role", "leader", "-store", "wal", "-data-dir", dd, "-replica-tail", "0"}, "-replica-tail must be positive"},
+		{"leader zero tail", []string{"-schema", sp, "-role", "leader", "-store", "wal", "-data-dir", dd, "-replica-tail", "0"}, "flag provided but not defined: -replica-tail"},
 		{"follower without leader", []string{"-schema", sp, "-role", "follower"}, "-role follower requires -leader"},
 		{"leader url on single", []string{"-schema", sp, "-leader", "http://x:8080"}, "-leader requires -role follower"},
 		{"leader url on leader", []string{"-schema", sp, "-role", "leader", "-store", "wal", "-data-dir", dd, "-leader", "http://x:8080"}, "-leader requires -role follower"},
 		{"bad peers", []string{"-schema", sp, "-peers", "nourl"}, "-peers"},
 		{"duplicate peers", []string{"-schema", sp, "-peers", "a=http://x,a=http://y"}, "-peers"},
 		{"stream flag", []string{"-schema", sp, "-stream"}, "flag provided but not defined: -stream"},
+		{"telemetry flag", []string{"-schema", sp, "-telemetry=false"}, "flag provided but not defined: -telemetry"},
+		{"retry backoff flag", []string{"-schema", sp, "-retry-backoff", "1s"}, "flag provided but not defined: -retry-backoff"},
+		{"breaker cooldown flag", []string{"-schema", sp, "-breaker-cooldown", "1s"}, "flag provided but not defined: -breaker-cooldown"},
+		{"shards flag", []string{"-schema", sp, "-store", "disk", "-data-dir", dd, "-shards", "4"}, "flag provided but not defined: -shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,23 +129,38 @@ func TestConfigureBuildsPeer(t *testing.T) {
 	}
 }
 
-func TestConfigureSlowRequestsOff(t *testing.T) {
-	p, _, err := configure([]string{"-schema", writeSchema(t), "-slow-requests", "0"})
+// TestConfigureFixedSettings pins the values that have no flag: telemetry
+// and the flight recorder are always on, the word cache keeps its default
+// size, a wal store compacts every 1024 mutations, and a disk store spreads
+// over the default shard count.
+func TestConfigureFixedSettings(t *testing.T) {
+	sp := writeSchema(t)
+	p, _, err := configure([]string{"-schema", sp,
+		"-store", "wal", "-data-dir", t.TempDir(), "-wal-sync", "interval"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Flight != nil {
-		t.Error("-slow-requests 0 should disable the flight recorder")
+	defer p.Repo.Close()
+	if p.Telemetry == nil {
+		t.Error("telemetry registry not installed")
 	}
-}
+	if p.Flight == nil {
+		t.Error("flight recorder not installed")
+	}
+	if p.Enforcement.WordCacheCapacity != 0 {
+		t.Errorf("WordCacheCapacity = %d, want 0 (core.DefaultWordCacheSize)", p.Enforcement.WordCacheCapacity)
+	}
+	if got := p.Repo.Stats().SnapshotEvery; got != 1024 {
+		t.Errorf("wal SnapshotEvery = %d, want 1024", got)
+	}
 
-func TestConfigureTelemetryOff(t *testing.T) {
-	p, _, err := configure([]string{"-schema", writeSchema(t), "-telemetry=false"})
+	p, _, err = configure([]string{"-schema", sp, "-store", "disk", "-data-dir", t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Telemetry != nil {
-		t.Error("-telemetry=false should leave the registry nil")
+	defer p.Repo.Close()
+	if got := p.Repo.Stats().Disk.Shards; got != store.DefaultShards {
+		t.Errorf("disk shards = %d, want %d", got, store.DefaultShards)
 	}
 }
 

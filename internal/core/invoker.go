@@ -180,14 +180,32 @@ type CallRecord struct {
 	Rewrite string
 }
 
+// auditRetain is how many of the most recent call records and events an
+// Audit keeps at least; it keeps at most twice as many. It covers one
+// rewriting's whole invocation budget, so a per-rewrite view of a shared
+// audit (CallsFor, EventsFor) is complete while the rewrite is recent.
+const auditRetain = DefaultMaxCalls
+
 // Audit accumulates the invocation trail of a rewriting: completed calls
 // (CallRecord) plus the invocation layer's fine-grained events (attempts,
 // retries, breaker transitions). Safe for concurrent use: peers share one
-// audit across requests.
+// audit across requests. The retained trail is bounded: once it holds
+// 2*auditRetain entries, the older half is dropped. Len stays a running
+// total.
 type Audit struct {
 	mu     sync.Mutex
 	calls  []CallRecord
 	events []InvokeEvent
+	total  int // calls recorded since the last Reset
+}
+
+// trim drops the oldest half of a trail that reached twice auditRetain,
+// keeping the most recent auditRetain entries.
+func trim[T any](trail []T) []T {
+	if len(trail) < 2*auditRetain {
+		return trail
+	}
+	return trail[:copy(trail, trail[len(trail)-auditRetain:])]
 }
 
 // Record appends a call record.
@@ -197,10 +215,11 @@ func (a *Audit) Record(r CallRecord) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.calls = append(a.calls, r)
+	a.calls = append(trim(a.calls), r)
+	a.total++
 }
 
-// Calls returns a copy of the trail.
+// Calls returns a copy of the retained trail.
 func (a *Audit) Calls() []CallRecord {
 	if a == nil {
 		return nil
@@ -212,14 +231,15 @@ func (a *Audit) Calls() []CallRecord {
 	return out
 }
 
-// Len returns the number of recorded calls.
+// Len returns the number of calls recorded since the last Reset, including
+// those no longer retained.
 func (a *Audit) Len() int {
 	if a == nil {
 		return 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.calls)
+	return a.total
 }
 
 // RecordEvent implements EventSink.
@@ -229,10 +249,10 @@ func (a *Audit) RecordEvent(e InvokeEvent) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.events = append(a.events, e)
+	a.events = append(trim(a.events), e)
 }
 
-// Events returns a copy of the invocation-event trail.
+// Events returns a copy of the retained invocation-event trail.
 func (a *Audit) Events() []InvokeEvent {
 	if a == nil {
 		return nil
@@ -278,7 +298,7 @@ func (a *Audit) EventsFor(rewriteID string) []InvokeEvent {
 	return out
 }
 
-// EventCount counts recorded events of one kind.
+// EventCount counts retained events of one kind.
 func (a *Audit) EventCount(kind string) int {
 	if a == nil {
 		return 0
@@ -294,7 +314,7 @@ func (a *Audit) EventCount(kind string) int {
 	return n
 }
 
-// TotalCost sums the recorded costs.
+// TotalCost sums the costs of the retained calls.
 func (a *Audit) TotalCost() float64 {
 	if a == nil {
 		return 0
@@ -317,6 +337,7 @@ func (a *Audit) Reset() {
 	defer a.mu.Unlock()
 	a.calls = nil
 	a.events = nil
+	a.total = 0
 }
 
 func (a *Audit) String() string {

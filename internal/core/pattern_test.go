@@ -287,6 +287,41 @@ func Pricey = city -> temp {cost=10}
 	}
 }
 
+// TestAuditBoundedTrail: a long-lived shared audit (a peer's) keeps a
+// bounded, contiguous suffix of its calls and events — at least one
+// rewriting's whole budget — while Len stays a running total.
+func TestAuditBoundedTrail(t *testing.T) {
+	a := &Audit{}
+	n := 5*DefaultMaxCalls + 7
+	for i := 0; i < n; i++ {
+		a.Record(CallRecord{Func: "f", Depth: i, Rewrite: "r"})
+		a.RecordEvent(InvokeEvent{Kind: "attempt", Attempt: i, Rewrite: "r"})
+	}
+	if a.Len() != n {
+		t.Errorf("Len = %d, want the running total %d", a.Len(), n)
+	}
+	calls, events := a.Calls(), a.Events()
+	for _, kept := range []int{len(calls), len(events), len(a.CallsFor("r")), len(a.EventsFor("r"))} {
+		if kept < DefaultMaxCalls || kept > 2*DefaultMaxCalls {
+			t.Fatalf("retained %d entries, want %d..%d", kept, DefaultMaxCalls, 2*DefaultMaxCalls)
+		}
+	}
+	for i, c := range calls {
+		if want := n - len(calls) + i; c.Depth != want {
+			t.Fatalf("calls[%d].Depth = %d, want %d: not the most recent suffix", i, c.Depth, want)
+		}
+	}
+	for i, e := range events {
+		if want := n - len(events) + i; e.Attempt != want {
+			t.Fatalf("events[%d].Attempt = %d, want %d: not the most recent suffix", i, e.Attempt, want)
+		}
+	}
+	a.Reset()
+	if a.Len() != 0 || len(a.Calls()) != 0 {
+		t.Errorf("after Reset: Len = %d, %d calls", a.Len(), len(a.Calls()))
+	}
+}
+
 // TestTokensOfForest and fork statistics.
 func TestForkStatistics(t *testing.T) {
 	c, _ := PaperPairForTest(t)

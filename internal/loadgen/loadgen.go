@@ -136,24 +136,24 @@ type HandlerStats struct {
 
 // Report is the result of one run, serialized into BENCH_load.json.
 type Report struct {
-	Mix         string                  `json:"mix"`
-	Duration    float64                 `json:"duration_s"`
-	Concurrency int                     `json:"concurrency"`
-	DocBytes    int                     `json:"doc_bytes,omitempty"`
-	Rate        float64                 `json:"rate_rps,omitempty"` // 0 = closed loop
-	Requests    uint64                  `json:"requests"`
-	Non2xx      uint64                  `json:"non_2xx"`
+	Mix         string  `json:"mix"`
+	Duration    float64 `json:"duration_s"`
+	Concurrency int     `json:"concurrency"`
+	DocBytes    int     `json:"doc_bytes,omitempty"`
+	Rate        float64 `json:"rate_rps,omitempty"` // 0 = closed loop
+	Requests    uint64  `json:"requests"`
+	Non2xx      uint64  `json:"non_2xx"`
 	// StaleReads counts replica-mix reads a lagging follower answered with a
 	// 404 or an out-of-date payload — tolerated by design, reported so lag
 	// is visible.
-	StaleReads uint64 `json:"stale_reads,omitempty"`
-	Errors      uint64                  `json:"transport_errors"`
-	Dropped     uint64                  `json:"dropped"` // open loop only: shed by the rate dispatcher
-	Throughput  float64                 `json:"throughput_rps"`
-	Status      map[string]uint64       `json:"status"`
-	Handlers    map[string]HandlerStats `json:"handlers"`
-	Checks      []MetricsCheck          `json:"metrics_checks,omitempty"`
-	ChecksOK    bool                    `json:"metrics_checks_ok"`
+	StaleReads uint64                  `json:"stale_reads,omitempty"`
+	Errors     uint64                  `json:"transport_errors"`
+	Dropped    uint64                  `json:"dropped"` // open loop only: shed by the rate dispatcher
+	Throughput float64                 `json:"throughput_rps"`
+	Status     map[string]uint64       `json:"status"`
+	Handlers   map[string]HandlerStats `json:"handlers"`
+	Checks     []MetricsCheck          `json:"metrics_checks,omitempty"`
+	ChecksOK   bool                    `json:"metrics_checks_ok"`
 }
 
 // Runner drives one configured run against a live peer.

@@ -66,7 +66,7 @@ func TestExchangeAllocBudget(t *testing.T) {
 			t.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
 	}
-	run() // warm the enforcement cache; the budget is for the steady state
+	run()              // warm the enforcement cache; the budget is for the steady state
 	const budget = 900 // measured ~646 allocs/op warmed (E-L1; WriteTo serializer); ~40% headroom
 	if got := testing.AllocsPerRun(50, run); got > budget {
 		t.Errorf("warmed /exchange = %.0f allocs/op, budget %d", got, budget)

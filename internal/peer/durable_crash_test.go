@@ -42,7 +42,7 @@ func crashDoc(i int) *doc.Node {
 // i%7 == 6, otherwise a put of doc(i). Names are never reused, so a put at
 // index p is deleted if and only if p%7 == 3 and op p+3 ran.
 func runCrashChild(dir string) {
-	d, err := store.OpenDurable(dir, store.DurableOptions{Sync: wal.SyncAlways, SnapshotEvery: 16})
+	d, err := store.OpenDurable(store.Options{Dir: dir, Sync: wal.SyncAlways, SnapshotEvery: 16})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash child:", err)
 		os.Exit(2)
@@ -97,7 +97,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 				t.Fatalf("child died after only %d acks, wanted at least %d", acked, killAfter)
 			}
 
-			rec, err := store.OpenDurable(dir, store.DurableOptions{})
+			rec, err := store.OpenDurable(store.Options{Dir: dir})
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}

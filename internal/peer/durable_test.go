@@ -14,9 +14,10 @@ import (
 	"axml/internal/wal"
 )
 
-func openDurable(t *testing.T, dir string, opts store.DurableOptions) *store.DurableRepository {
+func openDurable(t *testing.T, dir string, opts store.Options) *store.DurableRepository {
 	t.Helper()
-	d, err := store.OpenDurable(dir, opts)
+	opts.Dir = dir
+	d, err := store.OpenDurable(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func openDurable(t *testing.T, dir string, opts store.DurableOptions) *store.Dur
 
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurable(t, dir, store.DurableOptions{})
+	d := openDurable(t, dir, store.Options{})
 	if err := d.Put("news", doc.Elem("news", doc.TextNode("day1"))); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := openDurable(t, dir, store.DurableOptions{})
+	d2 := openDurable(t, dir, store.Options{})
 	if d2.Len() != 1 {
 		t.Fatalf("recovered %d docs (%v), want 1", d2.Len(), d2.Names())
 	}
@@ -81,7 +82,7 @@ func TestDurableRecoveryFromWALTailOnly(t *testing.T) {
 	}
 	l.Close() // closes the file but writes no snapshot, like a crash would
 
-	d := openDurable(t, dir, store.DurableOptions{})
+	d := openDurable(t, dir, store.Options{})
 	if d.Len() != 19 {
 		t.Fatalf("recovered %d docs, want 19", d.Len())
 	}
@@ -95,7 +96,7 @@ func TestDurableRecoveryFromWALTailOnly(t *testing.T) {
 
 func TestDurableAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurable(t, dir, store.DurableOptions{SnapshotEvery: 8, Sync: wal.SyncNone})
+	d := openDurable(t, dir, store.Options{SnapshotEvery: 8, Sync: wal.SyncNone})
 	for i := 0; i < 50; i++ {
 		if err := d.Put(fmt.Sprintf("doc%02d", i%10), doc.Elem("d", doc.TextNode(fmt.Sprint(i)))); err != nil {
 			t.Fatal(err)
@@ -116,14 +117,14 @@ func TestDurableAutoCompaction(t *testing.T) {
 	if st := d.Stats(); st.WAL.Snapshots < 2 {
 		t.Errorf("expected automatic + final compactions, got %d snapshots (stats %+v)", st.WAL.Snapshots, st)
 	}
-	d2 := openDurable(t, dir, store.DurableOptions{})
+	d2 := openDurable(t, dir, store.Options{})
 	if d2.Len() != 10 {
 		t.Errorf("recovered %d docs, want 10", d2.Len())
 	}
 }
 
 func TestDurableClosedRejectsMutations(t *testing.T) {
-	d := openDurable(t, t.TempDir(), store.DurableOptions{})
+	d := openDurable(t, t.TempDir(), store.Options{})
 	if err := d.Put("a", doc.Elem("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +146,11 @@ func TestDurableClosedRejectsMutations(t *testing.T) {
 	}
 }
 
-// TestDurableSeedDoesNotClobberRecovery: the LoadDir conflict policy must
-// keep WAL-recovered state when a seed directory collides.
+// TestDurableSeedDoesNotClobberRecovery: seeding must keep WAL-recovered
+// state when a seed directory collides.
 func TestDurableSeedDoesNotClobberRecovery(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurable(t, dir, store.DurableOptions{})
+	d := openDurable(t, dir, store.Options{})
 	if err := d.Put("a", doc.Elem("a", doc.TextNode("recovered"))); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +162,8 @@ func TestDurableSeedDoesNotClobberRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d2 := openDurable(t, dir, store.DurableOptions{})
-	n, err := d2.LoadDirWith(seed, store.KeepExisting)
+	d2 := openDurable(t, dir, store.Options{})
+	n, err := store.SeedDir(d2, seed)
 	if err != nil || n != 1 {
 		t.Fatalf("seed load = %d, %v; want 1", n, err)
 	}
@@ -173,7 +174,7 @@ func TestDurableSeedDoesNotClobberRecovery(t *testing.T) {
 	d2.Close()
 
 	// The seeded document was journaled and survives the next restart.
-	d3 := openDurable(t, dir, store.DurableOptions{})
+	d3 := openDurable(t, dir, store.Options{})
 	if _, ok := d3.Get("b"); !ok {
 		t.Error("seeded document not persisted")
 	}
@@ -184,7 +185,7 @@ func TestDurableSeedDoesNotClobberRecovery(t *testing.T) {
 // equals the final in-memory state exactly.
 func TestDurableConcurrentHammer(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurable(t, dir, store.DurableOptions{Sync: wal.SyncNone, SnapshotEvery: 64})
+	d := openDurable(t, dir, store.Options{Sync: wal.SyncNone, SnapshotEvery: 64})
 	const workers = 8
 	const opsPerWorker = 100
 	var wg sync.WaitGroup
@@ -224,7 +225,7 @@ func TestDurableConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := openDurable(t, dir, store.DurableOptions{})
+	d2 := openDurable(t, dir, store.Options{})
 	if d2.Len() != len(final) {
 		t.Fatalf("recovered %d docs, want %d", d2.Len(), len(final))
 	}
@@ -246,7 +247,7 @@ func TestOpenDurableRejectsUnparseableState(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if _, err := store.OpenDurable(dir, store.DurableOptions{}); err == nil {
+	if _, err := store.OpenDurable(store.Options{Dir: dir}); err == nil {
 		t.Error("unparseable logged document silently accepted")
 	}
 }

@@ -72,7 +72,7 @@ func TestHTTPDocMutations(t *testing.T) {
 // /stats exposes the WAL counters.
 func TestHTTPDurablePeer(t *testing.T) {
 	dir := t.TempDir()
-	d, err := store.OpenDurable(dir, store.DurableOptions{Sync: wal.SyncAlways})
+	d, err := store.OpenDurable(store.Options{Dir: dir, Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestHTTPDurablePeer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := store.OpenDurable(dir, store.DurableOptions{})
+	d2, err := store.OpenDurable(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestHTTPDurablePeer(t *testing.T) {
 
 // A mutation after Close must not be acknowledged over HTTP either.
 func TestHTTPDurableClosedSurfacesError(t *testing.T) {
-	d, err := store.OpenDurable(t.TempDir(), store.DurableOptions{})
+	d, err := store.OpenDurable(store.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

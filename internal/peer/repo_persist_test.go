@@ -140,6 +140,8 @@ func TestUpdateClonesOnTheWayIn(t *testing.T) {
 	}
 }
 
+// TestLoadDirConflictPolicies: seeding a directory over a repository keeps
+// the documents it already holds.
 func TestLoadDirConflictPolicies(t *testing.T) {
 	dir := t.TempDir()
 	for name, content := range map[string]string{
@@ -166,28 +168,15 @@ func TestLoadDirConflictPolicies(t *testing.T) {
 	}
 
 	r := inMemory()
-	n, err := r.LoadDirWith(dir, store.KeepExisting)
+	n, err := store.SeedDir(r, dir)
 	if err != nil || n != 1 {
-		t.Fatalf("KeepExisting loaded %d, %v; want 1 (only b)", n, err)
+		t.Fatalf("SeedDir loaded %d, %v; want 1 (only b)", n, err)
 	}
 	if text(r, "a") != "in-memory" || text(r, "b") != "from-disk" {
-		t.Errorf("KeepExisting clobbered in-memory state: a=%q b=%q", text(r, "a"), text(r, "b"))
+		t.Errorf("SeedDir clobbered in-memory state: a=%q b=%q", text(r, "a"), text(r, "b"))
 	}
 
-	r = inMemory()
-	n, err = r.LoadDirWith(dir, store.Overwrite)
-	if err != nil || n != 2 {
-		t.Fatalf("Overwrite loaded %d, %v; want 2", n, err)
-	}
-	if text(r, "a") != "from-disk" {
-		t.Errorf("Overwrite kept the in-memory doc: a=%q", text(r, "a"))
-	}
-
-	if _, err := inMemory().LoadDirWith(dir, store.FailOnConflict); err == nil || !strings.Contains(err.Error(), "already exists") {
-		t.Errorf("FailOnConflict error = %v", err)
-	}
-
-	// The plain LoadDir default is the safe one.
+	// LoadDir keeps existing documents too.
 	r = inMemory()
 	if err := r.LoadDir(dir); err != nil {
 		t.Fatal(err)

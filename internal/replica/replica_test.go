@@ -18,9 +18,10 @@ import (
 // the way a peer does: the source handler mounted under /replica/.
 func newLeader(t *testing.T, tailRecords int) (*store.DurableRepository, *Source, *httptest.Server) {
 	t.Helper()
-	repo, err := store.OpenDurable(t.TempDir(), store.DurableOptions{
+	repo, err := store.OpenDurable(store.Options{
+		Dir:         t.TempDir(),
 		Sync:        wal.SyncNone,
-		TailRecords: tailRecords,
+		ReplicaTail: tailRecords,
 	})
 	if err != nil {
 		t.Fatal(err)

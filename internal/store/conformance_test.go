@@ -27,7 +27,7 @@ func TestConformance(t *testing.T) {
 	t.Run("wal", func(t *testing.T) {
 		var dir string
 		open := func(t *testing.T) store.DocStore {
-			d, err := store.OpenDurable(dir, store.DurableOptions{Sync: wal.SyncNone})
+			d, err := store.OpenDurable(store.Options{Dir: dir, Sync: wal.SyncNone})
 			if err != nil {
 				t.Fatalf("OpenDurable: %v", err)
 			}
@@ -48,7 +48,7 @@ func TestConformance(t *testing.T) {
 		// A deliberately tiny hot cache: the conformance corpus exceeds
 		// it, so every subtest also exercises faulting and eviction.
 		open := func(t *testing.T) store.DocStore {
-			d, err := store.OpenDisk(dir, store.DiskOptions{HotCache: 3, Shards: 4})
+			d, err := store.OpenDisk(store.Options{Dir: dir, HotCache: 3, Shards: 4})
 			if err != nil {
 				t.Fatalf("OpenDisk: %v", err)
 			}
@@ -106,7 +106,7 @@ func putCorpus(t *testing.T, s store.DocStore, n int) {
 // watches the tiering counters: cold reads fault document files in on
 // demand, hot reads hit, and the cache never exceeds its cap.
 func TestDiskTiering(t *testing.T) {
-	d, err := store.OpenDisk(t.TempDir(), store.DiskOptions{HotCache: 4, Shards: 4})
+	d, err := store.OpenDisk(store.Options{Dir: t.TempDir(), HotCache: 4, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDiskTiering(t *testing.T) {
 // serves correct answers from the repaired index.
 func TestDiskIndexSelfHeal(t *testing.T) {
 	dir := t.TempDir()
-	d, err := store.OpenDisk(dir, store.DiskOptions{HotCache: 8, Shards: 2})
+	d, err := store.OpenDisk(store.Options{Dir: dir, HotCache: 8, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDiskIndexSelfHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := store.OpenDisk(dir, store.DiskOptions{HotCache: 8, Shards: 2})
+	d2, err := store.OpenDisk(store.Options{Dir: dir, HotCache: 8, Shards: 2})
 	if err != nil {
 		t.Fatalf("reopen over a damaged index: %v", err)
 	}
@@ -248,7 +248,7 @@ func indexedDocs(t *testing.T, dir string) int {
 // window is absorbed by the (size, mtime) self-heal.
 func TestDiskIndexDebounce(t *testing.T) {
 	dir := t.TempDir()
-	d, err := store.OpenDisk(dir, store.DiskOptions{HotCache: 8, Shards: 2})
+	d, err := store.OpenDisk(store.Options{Dir: dir, HotCache: 8, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestDiskIndexDebounce(t *testing.T) {
 		t.Errorf("deferral window: %d docs indexed on disk, want the stale 6", got)
 	}
 
-	d2, err := store.OpenDisk(dir, store.DiskOptions{HotCache: 8, Shards: 2})
+	d2, err := store.OpenDisk(store.Options{Dir: dir, HotCache: 8, Shards: 2})
 	if err != nil {
 		t.Fatalf("reopen over a stale index: %v", err)
 	}
@@ -316,7 +316,7 @@ func TestDiskIndexDebounce(t *testing.T) {
 	if got := indexedDocs(t, dir); got != 7 {
 		t.Errorf("after Close, %d docs indexed on disk, want 7", got)
 	}
-	d3, err := store.OpenDisk(dir, store.DiskOptions{HotCache: 8, Shards: 2})
+	d3, err := store.OpenDisk(store.Options{Dir: dir, HotCache: 8, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestDiskIndexDebounce(t *testing.T) {
 // reopening the shard removes it and ignores it as a document.
 func TestDiskSweepsTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	d, err := store.OpenDisk(dir, store.DiskOptions{Shards: 1})
+	d, err := store.OpenDisk(store.Options{Dir: dir, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestDiskSweepsTempFiles(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("<torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := store.OpenDisk(dir, store.DiskOptions{Shards: 1})
+	d2, err := store.OpenDisk(store.Options{Dir: dir, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,14 +359,14 @@ func TestDiskSweepsTempFiles(t *testing.T) {
 // count: existing files stay readable under their original shards.
 func TestDiskReshard(t *testing.T) {
 	dir := t.TempDir()
-	d, err := store.OpenDisk(dir, store.DiskOptions{Shards: 8})
+	d, err := store.OpenDisk(store.Options{Dir: dir, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	putCorpus(t, d, 10)
 	d.Close()
 
-	d2, err := store.OpenDisk(dir, store.DiskOptions{Shards: 2})
+	d2, err := store.OpenDisk(store.Options{Dir: dir, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

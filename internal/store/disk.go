@@ -31,19 +31,6 @@ const (
 // indexFileName is the per-shard function-index file.
 const indexFileName = "index.json"
 
-// DiskOptions configures OpenDisk.
-type DiskOptions struct {
-	// HotCache is the decoded-document budget (default DefaultHotCache).
-	HotCache int
-	// Shards is the shard-directory count (default DefaultShards, max
-	// MaxShards). Reopening a directory with a different count is safe:
-	// existing documents stay in their recorded shard; only new names
-	// hash over the configured count.
-	Shards int
-	// Metrics, when non-nil, instruments the store (see NewMetrics).
-	Metrics *Metrics
-}
-
 // Disk is the disk-sharded DocStore: every document lives as
 // <shard-dir>/<name>.xml (written atomically via wal.WriteFileAtomic, so a
 // crash never leaves a torn document), where the shard directory is chosen
@@ -96,11 +83,16 @@ type indexEntry struct {
 	Mtime int64    `json:"mtime_ns"`
 }
 
-// OpenDisk opens (or creates) a disk-sharded store rooted at dir, scanning
-// every shard directory to build the name table and repairing index entries
-// that disagree with their document files (crash between the document write
-// and the index write).
-func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
+// OpenDisk opens (or creates) a disk-sharded store rooted at opts.Dir,
+// scanning every shard directory to build the name table and repairing index
+// entries that disagree with their document files (crash between the
+// document write and the index write). It reads Dir, HotCache, Shards and
+// Registry.
+func OpenDisk(opts Options) (*Disk, error) {
+	dir := opts.Dir
+	if dir == "" {
+		return nil, fmt.Errorf("store: the disk backend requires a data directory")
+	}
 	hotCap := opts.HotCache
 	if hotCap <= 0 {
 		hotCap = DefaultHotCache
@@ -110,7 +102,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		shards = DefaultShards
 	}
 	if shards > MaxShards {
-		return nil, fmt.Errorf("store: -shards %d exceeds the maximum %d", shards, MaxShards)
+		return nil, fmt.Errorf("store: shard count %d exceeds the maximum %d", shards, MaxShards)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -119,7 +111,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		dir:     dir,
 		shards:  shards,
 		hotCap:  hotCap,
-		metrics: opts.Metrics,
+		metrics: NewMetrics(opts.Registry),
 		docs:    make(map[string]*diskDoc),
 		byFunc:  make(map[string]map[string]struct{}),
 		hot:     newLRUCache(hotCap),

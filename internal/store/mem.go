@@ -100,23 +100,34 @@ func (r *Repository) indexLocked(name string, d *doc.Node) {
 // separators are rejected — they would let SaveDir write outside its
 // directory.
 func (r *Repository) Put(name string, d *doc.Node) error {
+	_, err := r.put(name, d, false)
+	return err
+}
+
+// put is Put; with keepExisting it leaves an already stored document in
+// place, atomically with respect to the check. It reports whether d was
+// stored.
+func (r *Repository) put(name string, d *doc.Node, keepExisting bool) (bool, error) {
 	if err := ValidateDocName(name); err != nil {
-		return err
+		return false, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return fmt.Errorf("store: put %q: %w", name, ErrClosed)
+		return false, fmt.Errorf("store: put %q: %w", name, ErrClosed)
+	}
+	if _, exists := r.docs[name]; keepExisting && exists {
+		return false, nil
 	}
 	c := d.Clone()
 	if r.journal != nil {
 		if err := r.journal(name, c); err != nil {
-			return err
+			return false, err
 		}
 	}
 	r.docs[name] = c
 	r.indexLocked(name, c)
-	return nil
+	return true, nil
 }
 
 // Get returns a clone of the named document.
@@ -306,100 +317,17 @@ func (r *Repository) SaveDir(dir string) error {
 	return nil
 }
 
-// ConflictPolicy decides what LoadDir does when a file's name collides with
-// a document already in memory.
-type ConflictPolicy int
-
-const (
-	// KeepExisting keeps the in-memory document and skips the file — the
-	// safe default: recovered (WAL-replayed) state must not be clobbered
-	// by a seed directory.
-	KeepExisting ConflictPolicy = iota
-	// Overwrite replaces the in-memory document with the file's.
-	Overwrite
-	// FailOnConflict reports the first collision as an error.
-	FailOnConflict
-)
-
-func (p ConflictPolicy) String() string {
-	switch p {
-	case KeepExisting:
-		return "keep-existing"
-	case Overwrite:
-		return "overwrite"
-	case FailOnConflict:
-		return "fail"
-	default:
-		return fmt.Sprintf("ConflictPolicy(%d)", int(p))
-	}
-}
-
 // LoadDir loads every *.xml file of dir into the repository, keyed by file
-// base name, keeping existing in-memory documents on name collision
-// (KeepExisting). Use LoadDirWith to choose another policy.
+// base name, keeping existing in-memory documents on name collision.
 func (r *Repository) LoadDir(dir string) error {
-	_, err := r.LoadDirWith(dir, KeepExisting)
+	_, err := r.loadDir(dir)
 	return err
 }
 
-// LoadDirWith is LoadDir under an explicit conflict policy; it reports how
-// many documents were actually stored (files skipped by KeepExisting do not
-// count).
-func (r *Repository) LoadDirWith(dir string, policy ConflictPolicy) (int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	loaded := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".xml") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return loaded, fmt.Errorf("store: %w", err)
-		}
-		d, err := xmlio.ParseString(string(data))
-		if err != nil {
-			return loaded, fmt.Errorf("store: parsing %s: %w", e.Name(), err)
-		}
-		stored, err := r.putWith(strings.TrimSuffix(e.Name(), ".xml"), d, policy)
-		if err != nil {
-			return loaded, err
-		}
-		if stored {
-			loaded++
-		}
-	}
-	return loaded, nil
-}
-
-// putWith is Put under a conflict policy, atomic with respect to the
-// collision check.
-func (r *Repository) putWith(name string, d *doc.Node, policy ConflictPolicy) (bool, error) {
-	if err := ValidateDocName(name); err != nil {
-		return false, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return false, fmt.Errorf("store: put %q: %w", name, ErrClosed)
-	}
-	if _, exists := r.docs[name]; exists {
-		switch policy {
-		case KeepExisting:
-			return false, nil
-		case FailOnConflict:
-			return false, fmt.Errorf("store: document %q already exists", name)
-		}
-	}
-	c := d.Clone()
-	if r.journal != nil {
-		if err := r.journal(name, c); err != nil {
-			return false, err
-		}
-	}
-	r.docs[name] = c
-	r.indexLocked(name, c)
-	return true, nil
+// loadDir is LoadDir reporting how many documents were actually stored
+// (files skipped on a collision do not count).
+func (r *Repository) loadDir(dir string) (int, error) {
+	return forEachXML(dir, func(name string, d *doc.Node) (bool, error) {
+		return r.put(name, d, true)
+	})
 }

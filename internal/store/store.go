@@ -138,32 +138,38 @@ type DiskStats struct {
 	IndexFlushes uint64 `json:"index_flushes"`
 }
 
-// Options configures Open.
+// Options configures Open, OpenDurable and OpenDisk. Fields a backend does
+// not use are ignored.
 type Options struct {
-	// Backend selects the engine: BackendMem (default), BackendWAL or
-	// BackendDisk.
+	// Backend selects the engine for Open: BackendMem (default),
+	// BackendWAL or BackendDisk.
 	Backend string
 	// Dir is the data directory (required for wal and disk).
 	Dir string
-	// Sync is the WAL fsync discipline (wal backend).
+	// Sync is the WAL fsync discipline (wal backend; default
+	// wal.SyncAlways).
 	Sync wal.SyncMode
-	// SyncInterval is the background fsync period for wal.SyncInterval.
+	// SyncInterval is the background fsync period for wal.SyncInterval
+	// (default wal.DefaultSyncInterval).
 	SyncInterval time.Duration
-	// SnapshotEvery compacts the WAL after this many mutations (wal
-	// backend); 0 snapshots only on Close.
+	// SnapshotEvery compacts the WAL into a snapshot after this many
+	// logged mutations (wal backend); 0 snapshots only on Close and
+	// explicit Snapshot calls.
 	SnapshotEvery int
 	// HotCache is the disk backend's decoded-document budget (default
 	// DefaultHotCache).
 	HotCache int
 	// Shards is the disk backend's shard-directory count (default
-	// DefaultShards).
+	// DefaultShards, max MaxShards). Reopening a directory with a
+	// different count is safe: existing documents stay in their recorded
+	// shard; only new names hash over the configured count.
 	Shards int
 	// Registry, when non-nil, instruments the backend (axml_wal_* for the
 	// durable engine, axml_store_* for disk).
 	Registry *telemetry.Registry
 	// ReplicaTail, when positive, keeps that many recent WAL records in
 	// memory for replication streaming (wal backend only) — set on a
-	// federation leader.
+	// federation leader so followers can resume incrementally.
 	ReplicaTail int
 }
 
@@ -173,25 +179,9 @@ func Open(opts Options) (DocStore, error) {
 	case "", BackendMem:
 		return NewRepository(), nil
 	case BackendWAL:
-		if opts.Dir == "" {
-			return nil, fmt.Errorf("store: the wal backend requires a data directory")
-		}
-		return OpenDurable(opts.Dir, DurableOptions{
-			Sync:          opts.Sync,
-			SyncInterval:  opts.SyncInterval,
-			SnapshotEvery: opts.SnapshotEvery,
-			Metrics:       wal.NewMetrics(opts.Registry),
-			TailRecords:   opts.ReplicaTail,
-		})
+		return OpenDurable(opts)
 	case BackendDisk:
-		if opts.Dir == "" {
-			return nil, fmt.Errorf("store: the disk backend requires a data directory")
-		}
-		return OpenDisk(opts.Dir, DiskOptions{
-			HotCache: opts.HotCache,
-			Shards:   opts.Shards,
-			Metrics:  NewMetrics(opts.Registry),
-		})
+		return OpenDisk(opts)
 	default:
 		return nil, fmt.Errorf("store: unknown backend %q (want one of %v)", opts.Backend, Backends)
 	}
@@ -219,17 +209,29 @@ func FuncNames(d *doc.Node) []string {
 }
 
 // SeedDir loads every *.xml file of dir into any DocStore, keyed by file
-// base name, under the given conflict policy; it reports how many documents
-// were stored. The Repository backends keep their policy-atomic LoadDirWith;
-// this generic path checks-then-puts, which is exact for single-writer
-// seeding (daemon boot).
-func SeedDir(s DocStore, dir string, policy ConflictPolicy) (int, error) {
-	if r, ok := s.(*Repository); ok {
-		return r.LoadDirWith(dir, policy)
+// base name, keeping any document the store already holds (recovered state
+// wins over a seed directory); it reports how many documents were stored.
+// The Repository backends check and put under their write lock; the generic
+// path checks-then-puts, which is exact for single-writer seeding (daemon
+// boot).
+func SeedDir(s DocStore, dir string) (int, error) {
+	switch r := s.(type) {
+	case *Repository:
+		return r.loadDir(dir)
+	case *DurableRepository:
+		return r.loadDir(dir)
 	}
-	if d, ok := s.(*DurableRepository); ok {
-		return d.LoadDirWith(dir, policy)
-	}
+	return forEachXML(dir, func(name string, d *doc.Node) (bool, error) {
+		if _, exists := s.Get(name); exists {
+			return false, nil
+		}
+		return true, s.Put(name, d)
+	})
+}
+
+// forEachXML parses every *.xml file of dir and hands it to put under its
+// base name, counting the documents put reports as stored.
+func forEachXML(dir string, put func(name string, d *doc.Node) (bool, error)) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
@@ -239,15 +241,6 @@ func SeedDir(s DocStore, dir string, policy ConflictPolicy) (int, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".xml") {
 			continue
 		}
-		name := strings.TrimSuffix(e.Name(), ".xml")
-		if _, exists := s.Get(name); exists {
-			switch policy {
-			case KeepExisting:
-				continue
-			case FailOnConflict:
-				return loaded, fmt.Errorf("store: document %q already exists", name)
-			}
-		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return loaded, fmt.Errorf("store: %w", err)
@@ -256,10 +249,13 @@ func SeedDir(s DocStore, dir string, policy ConflictPolicy) (int, error) {
 		if err != nil {
 			return loaded, fmt.Errorf("store: parsing %s: %w", e.Name(), err)
 		}
-		if err := s.Put(name, d); err != nil {
+		stored, err := put(strings.TrimSuffix(e.Name(), ".xml"), d)
+		if err != nil {
 			return loaded, err
 		}
-		loaded++
+		if stored {
+			loaded++
+		}
 	}
 	return loaded, nil
 }

@@ -9,6 +9,9 @@ package storetest
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -38,6 +41,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("FunctionIndex", func(t *testing.T) { testFunctionIndex(t, f) })
 	t.Run("ClosedStore", func(t *testing.T) { testClosed(t, f) })
 	t.Run("ConcurrentHammer", func(t *testing.T) { testConcurrent(t, f) })
+	t.Run("SeedDir", func(t *testing.T) { testSeedDir(t, f) })
 	if f.Reopen != nil {
 		t.Run("ReopenRecovers", func(t *testing.T) { testReopen(t, f) })
 	}
@@ -51,6 +55,61 @@ func mustPut(t *testing.T, s store.DocStore, name string, d *doc.Node) {
 	t.Helper()
 	if err := s.Put(name, d); err != nil {
 		t.Fatalf("Put(%q) = %v", name, err)
+	}
+}
+
+// writeFiles creates dir/name with each content.
+func writeFiles(t *testing.T, dir string, files map[string]string) {
+	t.Helper()
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// testSeedDir: seeding keeps documents the store already holds, counts only
+// the documents it stored, ignores everything but *.xml files, and names a
+// malformed file in its error.
+func testSeedDir(t *testing.T, f Factory) {
+	s := f.Open(t)
+	defer s.Close()
+	mustPut(t, s, "kept", newsDoc("stored"))
+
+	dir := t.TempDir()
+	writeFiles(t, dir, map[string]string{
+		"kept.xml":  "<page>seed</page>",
+		"fresh.xml": "<page>fresh</page>",
+		"other.xml": "<page>other</page>",
+		"notes.txt": "<not xml",
+	})
+	if err := os.Mkdir(filepath.Join(dir, "sub.xml"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	n, err := store.SeedDir(s, dir)
+	if err != nil || n != 2 {
+		t.Fatalf("SeedDir = %d, %v; want 2 (fresh, other)", n, err)
+	}
+	if d, _ := s.Get("kept"); d == nil || d.Children[0].Value != "stored" {
+		t.Errorf("SeedDir replaced an existing document: %v", d)
+	}
+	if d, ok := s.Get("fresh"); !ok || d.Children[0].Value != "fresh" {
+		t.Errorf("Get(fresh) = %v, %v", d, ok)
+	}
+	if got := s.Names(); fmt.Sprint(got) != "[fresh kept other]" {
+		t.Errorf("Names after seeding = %v, want [fresh kept other]", got)
+	}
+	if n, err := store.SeedDir(s, dir); err != nil || n != 0 {
+		t.Errorf("second SeedDir = %d, %v; want 0", n, err)
+	}
+
+	bad := t.TempDir()
+	writeFiles(t, bad, map[string]string{"broken.xml": "<page>unterminated"})
+	if _, err := store.SeedDir(s, bad); err == nil || !strings.Contains(err.Error(), "broken.xml") {
+		t.Errorf("SeedDir over a malformed file: error = %v, want one naming broken.xml", err)
+	}
+	if _, ok := s.Get("broken"); ok {
+		t.Error("a malformed file was stored")
 	}
 }
 

@@ -205,16 +205,16 @@ type Log struct {
 // Stats is a point-in-time view of the log's counters, JSON-ready for the
 // peer's /stats endpoint.
 type Stats struct {
-	Dir                string `json:"dir"`
-	Generation         uint64 `json:"generation"`
-	SyncMode           string `json:"sync_mode"`
-	Appends            uint64 `json:"appends"`
-	AppendedBytes      uint64 `json:"appended_bytes"`
-	Fsyncs             uint64 `json:"fsyncs"`
-	Snapshots          uint64 `json:"snapshots"`
-	LastSnapshotBytes  uint64 `json:"last_snapshot_bytes"`
-	RecoveryReplayed   int    `json:"recovery_replayed_records"`
-	RecoveryTruncated  int    `json:"recovery_truncated_records"`
+	Dir               string `json:"dir"`
+	Generation        uint64 `json:"generation"`
+	SyncMode          string `json:"sync_mode"`
+	Appends           uint64 `json:"appends"`
+	AppendedBytes     uint64 `json:"appended_bytes"`
+	Fsyncs            uint64 `json:"fsyncs"`
+	Snapshots         uint64 `json:"snapshots"`
+	LastSnapshotBytes uint64 `json:"last_snapshot_bytes"`
+	RecoveryReplayed  int    `json:"recovery_replayed_records"`
+	RecoveryTruncated int    `json:"recovery_truncated_records"`
 }
 
 // Open recovers the state stored in dir (creating it if needed) and returns
