@@ -8,6 +8,9 @@
 //   - CompiledCache deduplicates Compile itself: one *Compiled per schema
 //     pair, keyed by content fingerprint so that re-parsed but identical
 //     exchange schemas (the /exchange endpoint creates one per request) hit;
+//   - GetSource adds a second key in front of the first: a SHA-256 digest of
+//     an exchange schema's raw bytes, so a repeated request body finds its
+//     resident pair without being parsed or fingerprinted at all;
 //   - each *Compiled carries a bounded word-verdict memo (wordcache.go) that
 //     amortizes the safe/possible products and lazy derivative exploration
 //     across repeated words.
@@ -19,6 +22,7 @@ package core
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -44,7 +48,8 @@ func (s CacheStats) String() string {
 	return fmt.Sprintf("hits=%d misses=%d evictions=%d size=%d", s.Hits, s.Misses, s.Evictions, s.Size)
 }
 
-// CompiledCache is an LRU cache of *Compiled keyed by schema-pair identity.
+// CompiledCache is an LRU cache of *Compiled keyed by schema-pair identity,
+// with a second index from raw exchange-schema sources (GetSource).
 // The zero value is not usable; create one with NewCompiledCache. A nil
 // *CompiledCache degrades to uncached compilation, so callers can thread an
 // optional cache without branching.
@@ -54,13 +59,16 @@ type CompiledCache struct {
 	// memo). Zero keeps DefaultWordCacheSize.
 	WordCacheCapacity int
 
-	// mu guards entries/lru/inflight. Hits take only the read lock — the
-	// cache sits on every message's path, so parallel requests over cached
-	// pairs must not serialize. Counters are atomic for the same reason.
+	// mu guards entries/aliases/lru/inflight and the entries' alias
+	// fields. Hits take only the read lock — the cache sits on every
+	// message's path, so parallel requests over cached pairs must not
+	// serialize. Counters are atomic for the same reason. The two index
+	// maps are created once and only ever cleared, never replaced.
 	mu       sync.RWMutex
 	capacity int
-	entries  map[string]*list.Element // key -> element holding *compiledEntry
-	lru      *list.List               // front = most recently used
+	entries  map[string]*list.Element    // PairKey -> element holding *compiledEntry
+	aliases  map[sourceKey]*list.Element // source digest -> the same elements
+	lru      *list.List                  // front = most recently used
 	inflight map[string]*inflightCompile
 
 	hits, misses, evictions atomic.Uint64
@@ -75,7 +83,16 @@ type CompiledCache struct {
 type compiledEntry struct {
 	key string
 	c   *Compiled
+	// alias is the one source digest that names this entry, if aliased:
+	// aliases[alias] points back here exactly when aliased is true, so the
+	// alias index never holds more than the cache's capacity.
+	alias   sourceKey
+	aliased bool
 }
+
+// sourceKey is the SHA-256 digest naming an exchange schema's raw source
+// (see GetSource).
+type sourceKey [sha256.Size]byte
 
 type inflightCompile struct {
 	done chan struct{}
@@ -91,6 +108,7 @@ func NewCompiledCache(capacity int) *CompiledCache {
 	return &CompiledCache{
 		capacity: capacity,
 		entries:  make(map[string]*list.Element),
+		aliases:  make(map[sourceKey]*list.Element),
 		lru:      list.New(),
 		inflight: make(map[string]*inflightCompile),
 	}
@@ -121,27 +139,113 @@ func (cc *CompiledCache) Get(sender, target *schema.Schema) *Compiled {
 	if cc == nil {
 		return Compile(sender, target)
 	}
+	return cc.get(PairKey(sender, target), sender, target)
+}
+
+// GetSource is Get for an exchange schema still in its raw source form. It
+// digests src together with everything its parse depends on — the sender's
+// identity and Version, and the identity and Len of sender.Table, the table
+// parse must intern into through an overlay — and returns the resident
+// pair that digest names without calling parse. Otherwise it parses, gets
+// the pair as Get does and records the digest as the pair's alias. A parse
+// error is returned and nothing is recorded, so errors are never cached.
+//
+// The digest is SHA-256 because src is chosen by the client: a collision
+// would hand one schema's safety analysis to another. Each pair keeps one
+// alias (the latest source that named it), and an alias lives exactly as
+// long as its pair is resident, so the cache's capacity bounds both
+// indexes. Pointer identities in the digest cannot be reused while the
+// alias lives: the resident Compiled references both the sender and its
+// table.
+func (cc *CompiledCache) GetSource(sender *schema.Schema, src []byte, parse func([]byte) (*schema.Schema, error)) (*Compiled, error) {
+	if cc == nil {
+		target, err := parse(src)
+		if err != nil {
+			return nil, err
+		}
+		return Compile(sender, target), nil
+	}
+	k := newSourceKey(sender, src)
+	if c := resident(cc, cc.aliases, k); c != nil {
+		return c, nil
+	}
+	target, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
 	key := PairKey(sender, target)
-	// Fast path: a resident entry is returned under the shared lock. Recency
-	// is updated only when the exclusive lock is free — an approximation that
-	// keeps concurrent hits from queueing on one mutex; a hot entry that
-	// never wins TryLock is by definition being hit constantly and will be
-	// re-inserted on the rare miss after eviction.
+	c := cc.get(key, sender, target)
+	cc.alias(k, key)
+	return c, nil
+}
+
+// newSourceKey digests src with the identity and version of the sender and
+// the identity and size of the table src is parsed against: a root table
+// that has interned another name since gives the same bytes a new overlay
+// base, hence a new digest.
+func newSourceKey(sender *schema.Schema, src []byte) sourceKey {
+	t := sender.Table
+	h := sha256.New()
+	fmt.Fprintf(h, "%p\x00%d\x00%p\x00%d\x00", sender, sender.Version(), t, t.Len())
+	h.Write(src)
+	var k sourceKey
+	h.Sum(k[:0])
+	return k
+}
+
+// alias records k as the source digest of the resident pair under key,
+// replacing the pair's previous alias. A pair evicted (or never admitted,
+// when its compile panicked) before this runs gets no alias.
+func (cc *CompiledCache) alias(k sourceKey, key string) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	el, ok := cc.entries[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*compiledEntry)
+	if e.aliased {
+		delete(cc.aliases, e.alias)
+	}
+	if prev, ok := cc.aliases[k]; ok {
+		// k names another pair when the table grew between digesting
+		// and parsing: the newer pair takes it over.
+		prev.Value.(*compiledEntry).aliased = false
+	}
+	e.alias, e.aliased = k, true
+	cc.aliases[k] = el
+}
+
+// resident returns the compiled pair index holds under k, or nil, and
+// counts a hit. It runs under the shared lock only. Recency is updated
+// only when the exclusive lock is free — an approximation that keeps
+// concurrent hits from queueing on one mutex; a hot entry that never wins
+// TryLock is by definition being hit constantly and will be re-inserted on
+// the rare miss after eviction.
+func resident[K comparable](cc *CompiledCache, index map[K]*list.Element, k K) *Compiled {
 	cc.mu.RLock()
-	el, resident := cc.entries[key]
+	el, ok := index[k]
 	var c *Compiled
-	if resident {
+	if ok {
 		c = el.Value.(*compiledEntry).c
 	}
 	cc.mu.RUnlock()
-	if resident {
-		cc.hits.Add(1)
-		if cc.mu.TryLock() {
-			if el, still := cc.entries[key]; still {
-				cc.lru.MoveToFront(el)
-			}
-			cc.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	cc.hits.Add(1)
+	if cc.mu.TryLock() {
+		if el, still := index[k]; still {
+			cc.lru.MoveToFront(el)
 		}
+		cc.mu.Unlock()
+	}
+	return c
+}
+
+// get is Get under a precomputed PairKey.
+func (cc *CompiledCache) get(key string, sender, target *schema.Schema) *Compiled {
+	if c := resident(cc, cc.entries, key); c != nil {
 		return c
 	}
 	cc.mu.Lock()
@@ -177,9 +281,11 @@ func (cc *CompiledCache) Get(sender, target *schema.Schema) *Compiled {
 			el := cc.lru.PushFront(&compiledEntry{key: key, c: fl.c})
 			cc.entries[key] = el
 			for cc.lru.Len() > cc.capacity {
-				oldest := cc.lru.Back()
-				cc.lru.Remove(oldest)
-				delete(cc.entries, oldest.Value.(*compiledEntry).key)
+				oldest := cc.lru.Remove(cc.lru.Back()).(*compiledEntry)
+				delete(cc.entries, oldest.key)
+				if oldest.aliased {
+					delete(cc.aliases, oldest.alias)
+				}
 				cc.evictions.Add(1)
 			}
 		}
@@ -189,7 +295,7 @@ func (cc *CompiledCache) Get(sender, target *schema.Schema) *Compiled {
 	if compileSeconds != nil {
 		t0 = time.Now()
 	}
-	c = Compile(sender, target)
+	c := Compile(sender, target)
 	compileSeconds.ObserveSince(t0)
 	if cc.WordCacheCapacity != 0 {
 		c.SetWordCacheCapacity(cc.WordCacheCapacity)
@@ -271,6 +377,17 @@ func (cc *CompiledCache) WordStats() CacheStats {
 	return total
 }
 
+// Aliases reports how many source digests name resident pairs (see
+// GetSource); never more than Len.
+func (cc *CompiledCache) Aliases() int {
+	if cc == nil {
+		return 0
+	}
+	cc.mu.RLock()
+	defer cc.mu.RUnlock()
+	return len(cc.aliases)
+}
+
 // Len reports how many compiled pairs are resident.
 func (cc *CompiledCache) Len() int {
 	if cc == nil {
@@ -281,14 +398,15 @@ func (cc *CompiledCache) Len() int {
 	return cc.lru.Len()
 }
 
-// Purge drops every resident entry (in-flight compilations finish and are
-// then dropped by their own cleanup only if still keyed; counters persist).
+// Purge drops every resident entry and its alias (in-flight compilations
+// finish and are admitted afterwards; counters persist).
 func (cc *CompiledCache) Purge() {
 	if cc == nil {
 		return
 	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	cc.entries = make(map[string]*list.Element)
+	clear(cc.entries)
+	clear(cc.aliases)
 	cc.lru.Init()
 }

@@ -320,3 +320,187 @@ func TestSharedDeriverConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// sourceParser parses schema text into an overlay of the sender's table,
+// as the /exchange handler parses a request body, and counts its calls.
+type sourceParser struct {
+	sender *schema.Schema
+	calls  int
+}
+
+func (sp *sourceParser) parse(src []byte) (*schema.Schema, error) {
+	sp.calls++
+	return schema.ParseTextShared(schema.NewShared(sp.sender.Table.Overlay()), string(src), nil)
+}
+
+// TestExchangeCacheSourceHit: a repeated source is served from the source
+// index without a parse; the pair it names is the one Get returns; a
+// source that differs by one byte is parsed, and a pair keeps one alias.
+func TestExchangeCacheSourceHit(t *testing.T) {
+	sender, _ := cachePair(t)
+	cc := NewCompiledCache(8)
+	sp := &sourceParser{sender: sender}
+	src := []byte(cacheTargetText)
+
+	c1, err := cc.GetSource(sender, src, sp.parse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := cc.GetSource(sender, src, sp.parse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1 != c2 || sp.calls != 1 {
+		t.Fatalf("repeat: same pair %v, %d parses, want the same pair and 1 parse", c1 == c2, sp.calls)
+	}
+	if st := cc.Stats(); st.Misses != 1 || st.Hits != 1 || cc.Aliases() != 1 {
+		t.Errorf("after a miss and a repeat: %s, %d aliases; want 1 miss, 1 hit, 1 alias", st, cc.Aliases())
+	}
+	target, _ := sp.parse(src)
+	if c := cc.Get(sender, target); c != c1 {
+		t.Error("Get on a fresh parse of the source returned another pair")
+	}
+
+	// One more trailing newline: the same schema, a different source.
+	spaced := append(append([]byte(nil), src...), '\n')
+	sp.calls = 0
+	if c, err := cc.GetSource(sender, spaced, sp.parse); err != nil || c != c1 {
+		t.Fatalf("one-byte-longer source: err %v, same pair %v", err, c == c1)
+	}
+	if sp.calls != 1 || cc.Stats().Misses != 1 {
+		t.Errorf("one-byte-longer source: %d parses, %d compiles; want 1 parse and no compile", sp.calls, cc.Stats().Misses)
+	}
+	if n := cc.Aliases(); n != 1 {
+		t.Errorf("one pair named by two sources holds %d aliases, want 1", n)
+	}
+}
+
+// TestExchangeCacheSourceErrors: a parse error is returned on every repeat
+// and never recorded.
+func TestExchangeCacheSourceErrors(t *testing.T) {
+	sender, _ := cachePair(t)
+	cc := NewCompiledCache(8)
+	sp := &sourceParser{sender: sender}
+	for i := 0; i < 3; i++ {
+		if _, err := cc.GetSource(sender, []byte("elem newspaper = (title"), sp.parse); err == nil {
+			t.Fatalf("attempt %d: malformed source accepted", i+1)
+		}
+	}
+	if sp.calls != 3 || cc.Len() != 0 || cc.Aliases() != 0 {
+		t.Errorf("3 failing sources: %d parses, %d entries, %d aliases; want 3, 0, 0", sp.calls, cc.Len(), cc.Aliases())
+	}
+}
+
+// TestExchangeCacheSourceInvalidation: a declaration on the sender, even
+// one that interns no new name, and a new name in the sender's table each
+// retire the source's alias.
+func TestExchangeCacheSourceInvalidation(t *testing.T) {
+	sender, _ := cachePair(t)
+	cc := NewCompiledCache(8)
+	sp := &sourceParser{sender: sender}
+	src := []byte(cacheTargetText)
+	get := func() *Compiled {
+		t.Helper()
+		c, err := cc.GetSource(sender, src, sp.parse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	before := get()
+
+	size := sender.Table.Len()
+	if err := sender.SetLabel("title", "city"); err != nil {
+		t.Fatal(err)
+	}
+	if sender.Table.Len() != size {
+		t.Fatal("fixture: the redeclaration interned a name")
+	}
+	after := get()
+	if sp.calls != 2 || after == before {
+		t.Errorf("after redeclaring title: %d parses, same pair %v; want 2 parses and a new pair", sp.calls, after == before)
+	}
+	if got := after.Sender.Labels["title"].Content; got == nil {
+		t.Error("the new pair does not see the redeclared title")
+	}
+
+	sender.Table.Intern("fresh")
+	get()
+	get()
+	if sp.calls != 3 {
+		t.Errorf("after the table grew: %d parses over two requests, want 1", sp.calls-2)
+	}
+}
+
+// TestExchangeCacheSourceEviction: an alias goes with its pair, on eviction
+// and on Purge.
+func TestExchangeCacheSourceEviction(t *testing.T) {
+	sender, _ := cachePair(t)
+	cc := NewCompiledCache(2)
+	sp := &sourceParser{sender: sender}
+	srcs := make([][]byte, 3)
+	for i := range srcs {
+		srcs[i] = []byte(cacheTargetText + "elem marker" + string(rune('a'+i)) + " = data\n")
+		if _, err := cc.GetSource(sender, srcs[i], sp.parse); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cc.Len() != 2 || cc.Aliases() != 2 {
+		t.Fatalf("3 sources through a 2-entry cache: %d entries, %d aliases; want 2, 2", cc.Len(), cc.Aliases())
+	}
+	sp.calls = 0
+	if _, err := cc.GetSource(sender, srcs[0], sp.parse); err != nil || sp.calls != 1 {
+		t.Errorf("source of an evicted pair: err %v, %d parses; want a parse", err, sp.calls)
+	}
+	cc.Purge()
+	if cc.Len() != 0 || cc.Aliases() != 0 {
+		t.Errorf("after Purge: %d entries, %d aliases", cc.Len(), cc.Aliases())
+	}
+	sp.calls = 0
+	if _, err := cc.GetSource(sender, srcs[1], sp.parse); err != nil || sp.calls != 1 {
+		t.Errorf("source after Purge: err %v, %d parses; want a parse", err, sp.calls)
+	}
+}
+
+// TestExchangeCacheSourceConcurrent: goroutines resolving a working set of
+// sources larger than the cache, with Purges in between, always get the
+// pair of the source they sent, and the alias index never outgrows the
+// entries.
+func TestExchangeCacheSourceConcurrent(t *testing.T) {
+	sender, _ := cachePair(t)
+	cc := NewCompiledCache(3)
+	const sources, goroutines, rounds = 6, 8, 60
+	srcs := make([][]byte, sources)
+	for i := range srcs {
+		srcs[i] = []byte(cacheTargetText + "elem marker" + string(rune('a'+i)) + " = data\n")
+	}
+	parse := func(src []byte) (*schema.Schema, error) {
+		return schema.ParseTextShared(schema.NewShared(sender.Table.Overlay()), string(src), nil)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (g + r) % sources
+				c, err := cc.GetSource(sender, srcs[i], parse)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if c.Target.Labels["marker"+string(rune('a'+i))] == nil {
+					t.Errorf("source %d answered with another source's pair", i)
+					return
+				}
+				if g == 0 && r%20 == 19 {
+					cc.Purge()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n, a := cc.Len(), cc.Aliases(); n > 3 || a > n {
+		t.Errorf("%d entries and %d aliases, want entries <= 3 and aliases <= entries", n, a)
+	}
+}

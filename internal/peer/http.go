@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"axml/internal/core"
+	"axml/internal/schema"
 	"axml/internal/soap"
 	"axml/internal/store"
 	"axml/internal/telemetry"
@@ -371,29 +373,47 @@ func (p *Peer) handleExchange(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "mode must be safe, possible or mixed", http.StatusBadRequest)
 		return
 	}
-	// The exchange schema is parsed into a request-scoped *overlay* of the
-	// peer's table: shared symbols resolve identically (so the rewriter can
-	// relate the two schemas and the enforcement cache still hits on repeated
-	// schemas), while labels this peer has never seen intern into the
-	// throwaway overlay — N distinct hostile schemas leave the shared table,
-	// and therefore peer memory, untouched. The body is capped like every
-	// other write path.
+	// The body is read once, under the same cap as every other write path,
+	// and resolved through the enforcement cache's source index: a body
+	// seen before maps straight to its resident compiled pair, unparsed. A
+	// new body is parsed into a request-scoped *overlay* of the peer's
+	// table: shared symbols resolve identically (so the rewriter can relate
+	// the two schemas and equal schemas share a cache entry), while labels
+	// this peer has never seen intern into the throwaway overlay — N
+	// distinct hostile schemas leave the shared table, and therefore peer
+	// memory, untouched. The parse stage times the body read plus any
+	// parse; the compile stage times the rest of the cache lookup.
 	st := telemetry.StagesFrom(r.Context())
-	var t0 time.Time
+	var t0, read time.Time
 	if st != nil {
 		t0 = time.Now()
 	}
 	body := p.limitBody(w, r)
-	exchange, err := xsdint.Parse(body, xsdint.Options{Table: p.Schema.Table.Overlay()})
-	if st != nil {
-		st.Set(telemetry.StageParse, time.Since(t0))
-	}
+	src, err := io.ReadAll(body)
 	if err != nil {
 		http.Error(w, err.Error(), body.errorStatus(err))
 		return
 	}
+	if st != nil {
+		read = time.Now()
+	}
+	var parse time.Duration
+	c, err := p.Enforcement.GetSource(p.Schema, src, func(src []byte) (*schema.Schema, error) {
+		t1 := time.Now()
+		exchange, err := xsdint.Parse(bytes.NewReader(src), xsdint.Options{Table: p.Schema.Table.Overlay()})
+		parse = time.Since(t1)
+		return exchange, err
+	})
+	if st != nil {
+		st.Set(telemetry.StageParse, read.Sub(t0)+parse)
+		st.Set(telemetry.StageCompile, time.Since(read)-parse)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	sw := &xmlResponseWriter{w: w}
-	res, err := p.SendDocumentStream(r.Context(), name, exchange, mode, sw)
+	res, err := p.sendCompiled(r.Context(), name, c, mode, sw)
 	if err != nil {
 		if sw.wrote || (res != nil && res.BytesWritten > 0) {
 			// The status line and a document prefix are already on the
@@ -429,7 +449,7 @@ func (x *xmlResponseWriter) Write(p []byte) (int, error) {
 }
 
 // cappedBody is a request body behind http.MaxBytesReader that remembers
-// whether the cap tripped: parsers in the read path (xsdint, xml.Decoder)
+// whether the cap tripped: parsers that read the body (xml.Decoder)
 // do not all preserve the *http.MaxBytesError through their error wrapping,
 // so the 413-vs-400 decision cannot rely on errors.As alone.
 type cappedBody struct {

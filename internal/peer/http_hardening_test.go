@@ -116,6 +116,14 @@ func TestExchangeHostileSchemasBoundedMemory(t *testing.T) {
 	if size := p.Enforcement.Len(); size > 64 {
 		t.Errorf("enforcement cache holds %d entries, want <= its 64 bound", size)
 	}
+	// The source index is bounded by the same capacity, and goes with it.
+	if aliases := p.Enforcement.Aliases(); aliases > 64 {
+		t.Errorf("enforcement cache holds %d source aliases, want <= its 64 bound", aliases)
+	}
+	p.Enforcement.Purge()
+	if aliases := p.Enforcement.Aliases(); aliases != 0 {
+		t.Errorf("Purge left %d source aliases", aliases)
+	}
 }
 
 // TestExchangeOverlayKeepsCacheHits: the per-request overlay must not defeat

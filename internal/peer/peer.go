@@ -174,17 +174,28 @@ func (p *Peer) instruments() *core.Instruments {
 	return p.ins
 }
 
-// rewriter builds an enforcement rewriter against a target schema (which
-// must share the peer schema's symbol table). The expensive schema-pair
-// analysis comes from the Enforcement cache; only the cheap per-message
-// rewriter state is fresh.
+// compile returns the enforcement analysis of the peer schema against a
+// target schema (which must share the peer schema's symbol table) from the
+// Enforcement cache, wiring telemetry first so a compile is timed.
+func (p *Peer) compile(target *schema.Schema) *core.Compiled {
+	p.instruments()
+	return p.Enforcement.Get(p.Schema, target)
+}
+
+// rewriter builds an enforcement rewriter against a target schema.
 func (p *Peer) rewriter(target *schema.Schema) *core.Rewriter {
-	ins := p.instruments()
-	rw := core.NewRewriterFor(p.Enforcement.Get(p.Schema, target), p.K, p.policyInvoker())
+	return p.rewriterFor(p.compile(target))
+}
+
+// rewriterFor builds an enforcement rewriter over a compiled pair: the
+// expensive schema-pair analysis is the cache's; only the cheap
+// per-message rewriter state is fresh.
+func (p *Peer) rewriterFor(c *core.Compiled) *core.Rewriter {
+	rw := core.NewRewriterFor(c, p.K, p.policyInvoker())
 	rw.Audit = p.Audit
 	rw.Events = p.eventSink()
 	rw.Parallelism = p.Parallelism
-	rw.Instruments = ins
+	rw.Instruments = p.instruments()
 	return rw
 }
 
@@ -285,21 +296,28 @@ func (p *Peer) SendDocumentContext(ctx context.Context, name string, exchange *s
 // prefix — HTTP callers must check StreamResult.BytesWritten before
 // choosing a status.
 func (p *Peer) SendDocumentStream(ctx context.Context, name string, exchange *schema.Schema, mode core.Mode, w io.Writer) (*core.StreamResult, error) {
-	d, ok := p.Repo.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, name, store.ErrNotFound)
-	}
 	st := telemetry.StagesFrom(ctx)
 	var t0 time.Time
 	if st != nil {
 		t0 = time.Now()
 	}
-	rw := p.rewriter(exchange)
+	c := p.compile(exchange)
 	if st != nil {
 		st.Set(telemetry.StageCompile, time.Since(t0))
 	}
+	return p.sendCompiled(ctx, name, c, mode, w)
+}
+
+// sendCompiled is the one streaming send path, shared by
+// SendDocumentStream and the /exchange handler: the named document is
+// enforced with the compiled pair and serialized to w.
+func (p *Peer) sendCompiled(ctx context.Context, name string, c *core.Compiled, mode core.Mode, w io.Writer) (*core.StreamResult, error) {
+	d, ok := p.Repo.Get(name)
+	if !ok {
+		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, name, store.ErrNotFound)
+	}
 	// RewriteDocumentStream records the rewrite and serialize stages.
-	res, err := rw.RewriteDocumentStream(ctx, d, w, mode)
+	res, err := p.rewriterFor(c).RewriteDocumentStream(ctx, d, w, mode)
 	if err != nil {
 		return res, fmt.Errorf("peer %s: sending %q: %w", p.Name, name, err)
 	}

@@ -11,6 +11,7 @@ package schema
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"axml/internal/automata"
 	"axml/internal/regex"
@@ -108,7 +109,16 @@ type Schema struct {
 	// Root is the distinguished root label for schema-level rewriting
 	// (Definition 6); may be empty.
 	Root string
+
+	// version counts the declarations made through the Set* methods.
+	version atomic.Uint64
 }
+
+// Version counts the declarations made through the Set* methods. A cache
+// that pins a schema by identity keys on (schema, Version) to notice a
+// later declaration without recomputing Fingerprint. Writes straight to
+// the exported maps are not counted.
+func (s *Schema) Version() uint64 { return s.version.Load() }
 
 // New returns an empty schema with a fresh symbol table.
 func New() *Schema { return NewShared(regex.NewTable()) }
@@ -157,6 +167,7 @@ func (s *Schema) SetLabel(name, content string) error {
 	}
 	s.Table.Intern(name)
 	s.Labels[name] = &LabelDef{Name: name, Content: r}
+	s.version.Add(1)
 	return nil
 }
 
@@ -167,6 +178,7 @@ func (s *Schema) SetData(name string) error {
 	}
 	s.Table.Intern(name)
 	s.Labels[name] = &LabelDef{Name: name}
+	s.version.Add(1)
 	return nil
 }
 
@@ -178,6 +190,7 @@ func (s *Schema) SetLabelRegex(name string, content *regex.Regex) error {
 	}
 	s.Table.Intern(name)
 	s.Labels[name] = &LabelDef{Name: name, Content: content}
+	s.version.Add(1)
 	return nil
 }
 
@@ -207,6 +220,7 @@ func (s *Schema) SetFuncDef(name, in, out string, adjust func(*FuncDef)) error {
 	}
 	s.Table.Intern(name)
 	s.Funcs[name] = def
+	s.version.Add(1)
 	return nil
 }
 
@@ -225,6 +239,7 @@ func (s *Schema) SetPattern(name, in, out string, pred Predicate) error {
 	}
 	s.Table.Intern(name)
 	s.Patterns[name] = &PatternDef{Name: name, In: rin, Out: rout, Pred: pred, Invocable: true}
+	s.version.Add(1)
 	return nil
 }
 
