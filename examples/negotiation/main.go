@@ -99,7 +99,7 @@ func TimeOut = data -> (exhibit|performance)*
 	rw.Audit = &axml.Audit{}
 
 	stored, _ := p.Repo.Get("today")
-	if _, err := rw.RewriteDocument(stored.Clone(), axml.Possible); err != nil {
+	if _, err := rw.RewriteDocument(stored, axml.Possible); err != nil {
 		fmt.Printf("  without converters: %v\n", err)
 	}
 	rw.Converters = axml.Converters{axml.InlineConverter(

@@ -27,12 +27,12 @@ func Get_Temp = city -> temp
 	root := doc.Elem("page", doc.Call("Get_Temp", doc.Elem("city", doc.TextNode("Paris"))))
 
 	// Without converters the exchange fails.
-	if _, err := rw.RewriteDocument(root.Clone(), Safe); err == nil {
+	if _, err := rw.RewriteDocument(root, Safe); err == nil {
 		t.Fatal("non-conforming result should fail without converters")
 	}
 	// With the rename converter it heals.
 	rw.Converters = Converters{RenameLabels(map[string]string{"temperature": "temp"})}
-	out, err := rw.RewriteDocument(root.Clone(), Safe)
+	out, err := rw.RewriteDocument(root, Safe)
 	if err != nil {
 		t.Fatal(err)
 	}

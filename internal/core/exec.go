@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,12 +14,14 @@ import (
 	"axml/internal/telemetry"
 )
 
-// RewriteDocument rewrites the document in place into the target schema and
-// returns the (possibly new) root: when the root itself is a function node,
-// invoking it replaces it by the returned element. The returned document is
-// an instance of the target schema, or an error explains why the rewriting
-// was refused (safe mode) or failed (possible mode, with any side-effecting
-// calls already recorded in the Audit).
+// RewriteDocument rewrites the document into the target schema and returns
+// the rewritten root. The input is never modified: the result shares every
+// function-free subtree with it and copies only the elements above the
+// function nodes the rewriting touches, so a stored tree can be passed as is
+// (see plan.own). The returned document is an instance of the target schema,
+// or an error explains why the rewriting was refused (safe mode) or failed
+// (possible mode, with any side-effecting calls already recorded in the
+// Audit).
 //
 // RewriteDocument is the documented context-free wrapper over
 // RewriteDocumentContext, running under context.Background().
@@ -54,8 +57,9 @@ func (rw *Rewriter) rewriteDocument(ctx context.Context, root *doc.Node, mode Mo
 
 // RewriteForest rewrites a forest into the given word type — the operation
 // the Schema Enforcement module applies to service parameters (typ = τ_in)
-// and results (typ = τ_out). Trees are mutated in place; the returned slice
-// is the new top level. Context-free wrapper over RewriteForestContext.
+// and results (typ = τ_out). The input forest is never modified; the returned
+// slice is the new top level, sharing the input's function-free subtrees.
+// Context-free wrapper over RewriteForestContext.
 func (rw *Rewriter) RewriteForest(forest []*doc.Node, typ *regex.Regex, mode Mode) ([]*doc.Node, error) {
 	return rw.RewriteForestContext(context.Background(), forest, typ, mode)
 }
@@ -109,42 +113,45 @@ func (rw *Rewriter) rewriteForest(ctx context.Context, forest []*doc.Node, typ *
 			permafrost: map[*doc.Node]bool{},
 			sched:      newParScheduler(rw.Parallelism),
 		}}
+	p := newPlan()
 	if mode == Mixed {
-		var pre []*doc.Node
+		// The speculative pass splices results before any plan exists, so
+		// it works on a private clone of the forest.
+		forest = doc.CloneForest(forest)
 		var err error
 		if ex.st.sched != nil {
-			pre, err = ex.preInvokeBatch(forest, 0, nil)
+			forest, err = ex.preInvokeBatch(forest, 0, nil)
 		} else {
-			pre, err = ex.preInvoke(forest, 0, nil)
+			forest, err = ex.preInvoke(forest, 0, nil)
 		}
 		if err != nil {
 			return nil, ex.auditedCount(), err
 		}
-		forest = pre
+		p.index(forest)
 		ex.mode = Safe
+	} else {
+		forest = p.own(forest)
 	}
-	switch mode {
-	case Safe, Mixed:
-		// Refuse before the first call: safety is decided statically.
-		if err := rw.CheckForest(forest, typ, Safe); err != nil {
-			return nil, ex.auditedCount(), err
-		}
-	case Possible:
-		// A hopeless request is refused with zero side effects; failures
-		// after this point stem from unlucky actual returns.
-		if err := rw.CheckForest(forest, typ, Possible); err != nil {
-			return nil, ex.auditedCount(), err
-		}
+	// Safe and mixed mode refuse before the first call: safety is decided
+	// statically. Possible mode refuses a hopeless request with zero side
+	// effects; failures after this point stem from unlucky actual returns.
+	if err := rw.checkPlanned(forest, p, typ, ex.mode); err != nil {
+		return nil, ex.auditedCount(), err
 	}
-	out, err := ex.forest(forest, typ, nil)
+	ex.st.plan = p
+	out, err := ex.forest(forest, p.funcs, typ, nil, true)
 	return out, ex.auditedCount(), err
 }
 
 // execState is the rewriting state shared by every branch of one execution,
-// including all parallel branches: the parameter/permafrost memos, the call
-// budget and the worker scheduler. A nil sched selects the sequential code
-// paths throughout.
+// including all parallel branches: the static check's plan, the
+// parameter/permafrost memos, the call budget and the worker scheduler. A
+// nil sched selects the sequential code paths throughout.
 type execState struct {
+	// plan is read-only once execution starts; nil when nothing was
+	// checked up front (the streaming engine).
+	plan *plan
+
 	mu sync.Mutex
 	// paramsDone marks function nodes whose parameters have been
 	// materialized into input instances (or arrived conformant from an
@@ -222,66 +229,37 @@ func (ex *executor) auditedCount() int {
 }
 
 // forest runs the three phases on one forest against a word type and
-// returns the rewritten top level.
-func (ex *executor) forest(forest []*doc.Node, typ *regex.Regex, path []string) ([]*doc.Node, error) {
+// returns the rewritten top level. funcs lists the function nodes whose
+// parameters phase 1 materializes, bottom-up; planned reports that the
+// static check validated the forest, so that its function-free subtrees are
+// final as they stand.
+func (ex *executor) forest(forest, funcs []*doc.Node, typ *regex.Regex, path *pathSeg, planned bool) ([]*doc.Node, error) {
 	// Phase 1: parameters, deepest functions first.
-	for _, tree := range forest {
-		for _, f := range doc.FuncsBottomUp(tree) {
-			if err := ex.materializeParams(f, path); err != nil {
-				return nil, err
-			}
+	for _, f := range funcs {
+		if err := ex.materializeParams(f, path); err != nil {
+			return nil, err
 		}
 	}
 	// Phase 3 at this level: rewrite the word of root labels.
-	out, err := ex.rewriteWord(forest, typ, path)
+	out, slots, err := ex.rewriteWord(forest, typ, path, planned)
 	if err != nil {
 		return nil, err
 	}
 	// Phase 2: recurse into element subtrees — independent of one another,
 	// so they fan out onto the scheduler when one is configured.
-	elems := elementSlots(out)
-	if err := ex.runSlots(len(elems), func(child *executor, k int) error {
-		i := elems[k]
-		tree := out[i]
-		return child.element(tree, indexedPath(path, tree.Label, i))
+	if err := ex.runSlots(len(slots), func(child *executor, k int) error {
+		s := slots[k]
+		tree := out[s.i]
+		return child.element(tree, &pathSeg{parent: path, label: tree.Label, index: s.i}, s.planned)
 	}); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// elementSlots returns the indices of the element nodes of a forest — the
-// slots the subtree-recursion phase fans out over.
-func elementSlots(forest []*doc.Node) []int {
-	out := make([]int, 0, len(forest))
-	for i, n := range forest {
-		if n.Kind == doc.Element {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// childPath returns path extended by one segment, in a freshly allocated
-// slice. The naive append(path, seg) shares the parent's backing array:
-// sibling recursions — concurrent ones especially — would overwrite each
-// other's segment, corrupting the paths reported in errors and events.
-func childPath(path []string, seg string) []string {
-	out := make([]string, len(path)+1)
-	copy(out, path)
-	out[len(path)] = seg
-	return out
-}
-
-// indexedPath is childPath with a "label[i]" segment, built without fmt — it
-// runs once per element subtree on the rewriting hot path.
-func indexedPath(path []string, label string, i int) []string {
-	return childPath(path, label+"["+strconv.Itoa(i)+"]")
-}
-
 // materializeParams rewrites f's parameters into its input type, memoized.
 // Failures freeze f in lenient mode and abort in strict mode.
-func (ex *executor) materializeParams(f *doc.Node, path []string) error {
+func (ex *executor) materializeParams(f *doc.Node, path *pathSeg) error {
 	if ex.paramsReady(f) || ex.isFrozen(f) {
 		return nil
 	}
@@ -297,8 +275,9 @@ func (ex *executor) materializeParams(f *doc.Node, path []string) error {
 	if !exists {
 		return fail(&NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("function %q is not declared by either schema", f.Label)})
 	}
+	seg := &pathSeg{parent: path, label: f.Label, index: paramSeg}
 	if isData {
-		kids, err := ex.collapseToData(f.Children, childPath(path, "@"+f.Label))
+		kids, err := ex.collapseToData(f.Children, seg)
 		if err != nil {
 			return fail(err)
 		}
@@ -306,7 +285,15 @@ func (ex *executor) materializeParams(f *doc.Node, path []string) error {
 		ex.markParamsDone(f)
 		return nil
 	}
-	kids, err := ex.forest(f.Children, in, childPath(path, "@"+f.Label))
+	// A proved parameter forest needs no phase 1 of its own: its function
+	// nodes precede f in the plan's bottom-up order, so they are settled
+	// (materialized or frozen) before f is reached.
+	planned := ex.st.plan.proved(f)
+	var funcs []*doc.Node
+	if !planned {
+		funcs = funcsBottomUp(f.Children)
+	}
+	kids, err := ex.forest(f.Children, funcs, in, seg, planned)
 	if err != nil {
 		return fail(err)
 	}
@@ -317,7 +304,7 @@ func (ex *executor) materializeParams(f *doc.Node, path []string) error {
 
 // collapseToData materializes a forest into pure text: data-returning
 // invocable functions are called, anything else non-text is an error.
-func (ex *executor) collapseToData(children []*doc.Node, path []string) ([]*doc.Node, error) {
+func (ex *executor) collapseToData(children []*doc.Node, path *pathSeg) ([]*doc.Node, error) {
 	c := ex.rw.Compiled
 	out := make([]*doc.Node, 0, len(children))
 	for _, ch := range children {
@@ -347,8 +334,11 @@ func (ex *executor) collapseToData(children []*doc.Node, path []string) ([]*doc.
 	return out, nil
 }
 
-// element rewrites one element node in place.
-func (ex *executor) element(e *doc.Node, path []string) error {
+// element rewrites one element node in place; the executor owns every node
+// it reaches here (a spine copy, a function's cloned parameters, or an
+// invocation result). planned reports that the static check validated e's
+// subtree: its text content and its function-free children are then final.
+func (ex *executor) element(e *doc.Node, path *pathSeg, planned bool) error {
 	c := ex.rw.Compiled
 	content, isData, declared := c.ContentModel(e.Label)
 	if !declared {
@@ -365,22 +355,30 @@ func (ex *executor) element(e *doc.Node, path []string) error {
 		e.Children = kids
 		return nil
 	}
-	for _, ch := range e.Children {
-		if ch.Kind == doc.Text && strings.TrimSpace(ch.Value) != "" {
-			return &NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("element %q has structured content but contains text", e.Label)}
+	if !planned {
+		for _, ch := range e.Children {
+			if ch.Kind == doc.Text && strings.TrimSpace(ch.Value) != "" {
+				return &NotSafeError{Path: pathString(path), Msg: fmt.Sprintf("element %q has structured content but contains text", e.Label)}
+			}
 		}
 	}
-	kids, err := ex.rewriteWord(e.Children, content, path)
+	kids, slots, err := ex.rewriteWord(e.Children, content, path, planned)
 	if err != nil {
 		return err
 	}
 	e.Children = kids
-	elems := elementSlots(kids)
-	return ex.runSlots(len(elems), func(child *executor, k int) error {
-		i := elems[k]
-		ch := kids[i]
-		return child.element(ch, indexedPath(path, ch.Label, i))
+	return ex.runSlots(len(slots), func(child *executor, k int) error {
+		s := slots[k]
+		ch := kids[s.i]
+		return child.element(ch, &pathSeg{parent: path, label: ch.Label, index: s.i}, s.planned)
 	})
+}
+
+// slot is one element position of a rewritten word that the subtree phase
+// visits; planned marks an element that came from the checked forest.
+type slot struct {
+	i       int
+	planned bool
 }
 
 // item is one child slot during word rewriting.
@@ -403,8 +401,17 @@ type item struct {
 // as one concurrent batch per round (decideParallel). Possible mode always
 // runs the sequential loop — backtracking revisits earlier decisions, which
 // a concurrent batch could not honor.
-func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, path []string) ([]*doc.Node, error) {
-	w := &wordRun{ex: ex, typ: typ}
+//
+// Besides the rewritten word it returns the element slots the subtree phase
+// must visit (see executor.slots); planned reports that children is a word
+// the static check validated.
+func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, path *pathSeg, planned bool) ([]*doc.Node, []slot, error) {
+	if planned && !slices.ContainsFunc(children, isFunc) {
+		// The static check matched this function-free word already:
+		// nothing to decide, invoke or match again.
+		return children, ex.slots(children, func(int) bool { return true }), nil
+	}
+	w := &wordRun{ex: ex, typ: typ, tokScratch: make([]Token, 0, len(children))}
 	w.items = make([]*item, len(children))
 	backing := make([]item, len(children)) // one allocation for the whole word
 	for i, ch := range children {
@@ -413,10 +420,10 @@ func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, path []s
 	}
 	if ex.st.sched != nil && ex.mode == Safe {
 		if err := w.decideParallel(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else if err := w.decideFrom(0); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Final verification, with possible-mode backtracking over keeps made
 	// after the last invocation (left-to-right rewritings never revisit
@@ -427,10 +434,13 @@ func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, path []s
 			nodes[i] = it.node
 		}
 		if ex.rw.ctx.MatchWord(typ, nodes) {
-			return nodes, nil
+			// Items at depth 0 are the word's own children, checked when
+			// planned; deeper items arrived in invocation results, which
+			// no check has seen.
+			return nodes, ex.slots(nodes, func(i int) bool { return planned && w.items[i].depth == 0 }), nil
 		}
 		if ex.mode != Possible || len(w.kept) == 0 {
-			return nil, &NotSafeError{
+			return nil, nil, &NotSafeError{
 				Path: pathString(path),
 				Msg: fmt.Sprintf("rewriting finished on %v which does not match %s (mode %s, %d calls made)",
 					forestLabels(nodes), typ.String(ex.rw.Compiled.Table), ex.mode, ex.callCount()),
@@ -450,10 +460,31 @@ func (ex *executor) rewriteWord(children []*doc.Node, typ *regex.Regex, path []s
 			}
 		}
 		if err := w.decideFrom(pos); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 }
+
+// slots lists, in order, the element positions of a rewritten word that
+// the subtree phase visits: every element, except one the static check
+// proved function-free. checked reports whether position i holds a node of
+// the checked forest.
+func (ex *executor) slots(nodes []*doc.Node, checked func(i int) bool) []slot {
+	var out []slot
+	for i, n := range nodes {
+		if n.Kind != doc.Element {
+			continue
+		}
+		c := checked(i)
+		if c && !ex.st.plan.onSpine(n) {
+			continue
+		}
+		out = append(out, slot{i: i, planned: c})
+	}
+	return out
+}
+
+func isFunc(n *doc.Node) bool { return n.Kind == doc.Func }
 
 // wordRun carries the mutable state of one word-rewriting pass.
 type wordRun struct {
@@ -627,7 +658,7 @@ func (ex *executor) invoke(call *doc.Node, depth int) ([]*doc.Node, error) {
 // allows. The subsequent safe analysis then works on the concrete data.
 // This is the sequential pass; the parallel engine batches the same
 // admissible calls per round instead (preInvokeBatch in parallel.go).
-func (ex *executor) preInvoke(forest []*doc.Node, depth int, path []string) ([]*doc.Node, error) {
+func (ex *executor) preInvoke(forest []*doc.Node, depth int, path *pathSeg) ([]*doc.Node, error) {
 	pred := ex.rw.PreInvoke
 	if pred == nil {
 		pred = func(fi *FuncInfo) bool { return !fi.SideEffects && fi.Cost == 0 }
@@ -636,7 +667,7 @@ func (ex *executor) preInvoke(forest []*doc.Node, depth int, path []string) ([]*
 	out := make([]*doc.Node, 0, len(forest))
 	for _, n := range forest {
 		if n.Kind == doc.Element {
-			kids, err := ex.preInvoke(n.Children, depth, childPath(path, n.Label))
+			kids, err := ex.preInvoke(n.Children, depth, &pathSeg{parent: path, label: n.Label, index: bareSeg})
 			if err != nil {
 				return nil, err
 			}

@@ -328,7 +328,7 @@ type preTask struct {
 // issues the round as one concurrent batch through the invocation layer, and
 // splices the results in document order. Calls appearing inside results are
 // picked up by the next round at depth+1 while the depth bound allows.
-func (ex *executor) preInvokeBatch(forest []*doc.Node, depth int, path []string) ([]*doc.Node, error) {
+func (ex *executor) preInvokeBatch(forest []*doc.Node, depth int, path *pathSeg) ([]*doc.Node, error) {
 	pred := ex.rw.PreInvoke
 	if pred == nil {
 		pred = func(fi *FuncInfo) bool { return !fi.SideEffects && fi.Cost == 0 }
@@ -405,7 +405,7 @@ func (ex *executor) preInvokeBatch(forest []*doc.Node, depth int, path []string)
 // depth-bounded, declared, invocable, admitted by the PreInvoke predicate,
 // with parameters materialized (sequentially — parameter materialization may
 // itself invoke) and not frozen by earlier failures.
-func (ex *executor) gatherPre(container *doc.Node, depth int, path []string, pred func(*FuncInfo) bool, depthAt map[*doc.Node]int, tasks *[]*preTask) error {
+func (ex *executor) gatherPre(container *doc.Node, depth int, path *pathSeg, pred func(*FuncInfo) bool, depthAt map[*doc.Node]int, tasks *[]*preTask) error {
 	c := ex.rw.Compiled
 	for _, n := range container.Children {
 		d := depth
@@ -413,7 +413,7 @@ func (ex *executor) gatherPre(container *doc.Node, depth int, path []string, pre
 			d = over
 		}
 		if n.Kind == doc.Element {
-			if err := ex.gatherPre(n, d, childPath(path, n.Label), pred, depthAt, tasks); err != nil {
+			if err := ex.gatherPre(n, d, &pathSeg{parent: path, label: n.Label, index: bareSeg}, pred, depthAt, tasks); err != nil {
 				return err
 			}
 			continue

@@ -271,30 +271,9 @@ func G = data -> val
 	}
 }
 
-// TestChildPathNoAliasing is the regression for the append-based path
-// construction: with spare capacity in the parent slice, two sibling
-// extensions used to share a backing array and the second overwrote the
-// first's segment.
-func TestChildPathNoAliasing(t *testing.T) {
-	base := make([]string, 1, 8)
-	base[0] = "root"
-	a := childPath(base, "a")
-	b := childPath(base, "b")
-	if a[1] != "a" {
-		t.Fatalf("sibling extension clobbered the first path: %v", a)
-	}
-	if b[1] != "b" || b[0] != "root" || a[0] != "root" {
-		t.Fatalf("childPath built wrong paths: %v %v", a, b)
-	}
-	a[0] = "mutated"
-	if base[0] != "root" {
-		t.Fatal("childPath shares the parent's backing array")
-	}
-}
-
 // TestParallelErrorPathWideFanout: error paths reported out of a wide
-// fan-out must name the failing subtree exactly, at every degree — the
-// end-to-end face of the aliasing fix.
+// fan-out must name the failing subtree exactly, at every degree: sibling
+// branches extend one shared parent path concurrently.
 func TestParallelErrorPathWideFanout(t *testing.T) {
 	const funcs = 60
 	sender, target := stressPair(t)
@@ -346,16 +325,6 @@ func Data = data -> data
 
 // ---------------------------------------------------------------------------
 // Micro-benchmarks for the error/audit-path string builders.
-
-func BenchmarkPathString(b *testing.B) {
-	path := []string{"page[0]", "sec[12]", "item[3]", "@Get", "city[0]"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if s := pathString(path); len(s) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
 
 func BenchmarkForestLabels(b *testing.B) {
 	forest := make([]*doc.Node, 0, 24)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"axml/internal/doc"
@@ -273,7 +274,25 @@ func (rw *Rewriter) documentType(root *doc.Node) (*regex.Regex, error) {
 // typ (with every subtree an instance of the target schema), statically.
 func (rw *Rewriter) CheckForest(forest []*doc.Node, typ *regex.Regex, mode Mode) error {
 	sc := &staticCheck{rw: rw, mode: mode, paramsOK: map[*doc.Node]bool{}}
-	return sc.forest(forest, typ, nil)
+	return sc.forest(forest, funcsBottomUp(forest), typ, nil)
+}
+
+// checkPlanned is CheckForest over a forest p indexes: the check walks
+// p.funcs instead of collecting them again, and records its parameter
+// verdicts in p.params for the executor to follow.
+func (rw *Rewriter) checkPlanned(forest []*doc.Node, p *plan, typ *regex.Regex, mode Mode) error {
+	sc := &staticCheck{rw: rw, mode: mode, paramsOK: p.params}
+	return sc.forest(forest, p.funcs, typ, nil)
+}
+
+// funcsBottomUp lists the function nodes of every tree of a forest in
+// doc.FuncsBottomUp order.
+func funcsBottomUp(forest []*doc.Node) []*doc.Node {
+	var out []*doc.Node
+	for _, tree := range forest {
+		out = append(out, doc.FuncsBottomUp(tree)...)
+	}
+	return out
 }
 
 type staticCheck struct {
@@ -286,17 +305,16 @@ type staticCheck struct {
 	scratch []Token
 }
 
-// forest checks one forest against a word type: parameters bottom-up, then
-// the root-label word, then each element subtree top-down.
-func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, path []string) error {
-	for _, tree := range forest {
-		for _, f := range doc.FuncsBottomUp(tree) {
-			ok, err := sc.funcParams(f, path)
-			if err != nil {
-				return err
-			}
-			sc.paramsOK[f] = ok
+// forest checks one forest against a word type: parameters bottom-up (funcs
+// lists the forest's function nodes in that order), then the root-label
+// word, then each element subtree top-down.
+func (sc *staticCheck) forest(forest, funcs []*doc.Node, typ *regex.Regex, path *pathSeg) error {
+	for _, f := range funcs {
+		ok, err := sc.funcParams(f, path)
+		if err != nil {
+			return err
 		}
+		sc.paramsOK[f] = ok
 	}
 	tokens := sc.tokens(forest)
 	ok, err := sc.rw.wordOK(tokens, typ, sc.mode)
@@ -312,7 +330,7 @@ func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, path []strin
 	}
 	for i, tree := range forest {
 		if tree.Kind == doc.Element {
-			if err := sc.element(tree, indexedPath(path, tree.Label, i)); err != nil {
+			if err := sc.element(tree, path, i); err != nil {
 				return err
 			}
 		}
@@ -322,7 +340,7 @@ func (sc *staticCheck) forest(forest []*doc.Node, typ *regex.Regex, path []strin
 
 // funcParams decides whether f's parameters can be rewritten into its input
 // type. Inner functions were memoized first (bottom-up order).
-func (sc *staticCheck) funcParams(f *doc.Node, path []string) (bool, error) {
+func (sc *staticCheck) funcParams(f *doc.Node, path *pathSeg) (bool, error) {
 	if ok, done := sc.paramsOK[f]; done {
 		return ok, nil
 	}
@@ -343,10 +361,12 @@ func (sc *staticCheck) funcParams(f *doc.Node, path []string) (bool, error) {
 		}
 		return true, nil
 	}
-	// Rewriting the params must not consult the global failure path: use a
-	// sub-check whose verdict freezes f instead of failing, unless strict.
-	sub := &staticCheck{rw: sc.rw, mode: sc.mode, paramsOK: sc.paramsOK}
-	if err := sub.forest(f.Children, in, childPath(path, "@"+f.Label)); err != nil {
+	// Rewriting the params must not consult the global failure path: a
+	// failed parameter check freezes f instead of failing, unless strict.
+	// The nested forest may share the token scratch: the enclosing word
+	// builds its tokens only after every parameter check returned.
+	seg := &pathSeg{parent: path, label: f.Label, index: paramSeg}
+	if err := sc.forest(f.Children, funcsBottomUp(f.Children), in, seg); err != nil {
 		if sc.rw.StrictParams {
 			return false, err
 		}
@@ -385,8 +405,15 @@ func (sc *staticCheck) dataChildrenOK(children []*doc.Node) bool {
 	return true
 }
 
-// element checks one element subtree top-down.
-func (sc *staticCheck) element(e *doc.Node, path []string) error {
+// element checks one element subtree top-down; e is child i of the forest
+// at parent.
+func (sc *staticCheck) element(e *doc.Node, parent *pathSeg, i int) error {
+	// e's own segment lives on the stack for error reports; it is copied to
+	// the heap only for element children to link to (escape analysis keeps
+	// no parent-linked path on the stack across recursive calls), which
+	// spares the leaves of the document an allocation each.
+	at := pathSeg{parent: parent, label: e.Label, index: i}
+	path := &at
 	c := sc.rw.Compiled
 	content, isData, declared := c.ContentModel(e.Label)
 	if !declared {
@@ -419,9 +446,13 @@ func (sc *staticCheck) element(e *doc.Node, path []string) error {
 				e.ChildLabels(), sc.mode, content.String(c.Table), sc.rw.K),
 		}
 	}
-	for i, ch := range e.Children {
+	var own *pathSeg
+	for j, ch := range e.Children {
 		if ch.Kind == doc.Element {
-			if err := sc.element(ch, indexedPath(path, ch.Label, i)); err != nil {
+			if own == nil {
+				own = &pathSeg{parent: parent, label: e.Label, index: i}
+			}
+			if err := sc.element(ch, own, j); err != nil {
 				return err
 			}
 		}
@@ -451,24 +482,72 @@ func (sc *staticCheck) tokens(forest []*doc.Node) []Token {
 	return out
 }
 
-// pathString renders a node path as /seg/seg/... — it sits on every error
-// and event path, so it builds the result in one exactly-sized allocation
-// instead of the Join-plus-concatenation it replaced.
-func pathString(path []string) string {
-	if len(path) == 0 {
+// pathSeg is one segment of a node path, linked to the path above it:
+// label[index] for the index-th child of a forest, a bare label, or @label
+// for a function's parameter forest. Segments are never modified, so any
+// number of sibling paths share their common prefix and extending a path
+// copies nothing; a path becomes a string only when pathString renders it
+// for an error or event. The nil *pathSeg is the empty path.
+type pathSeg struct {
+	parent *pathSeg
+	label  string
+	index  int // a child position, or bareSeg / paramSeg
+}
+
+const (
+	bareSeg  = -1 // renders as label
+	paramSeg = -2 // renders as @label
+)
+
+// pathString renders a node path as /seg/seg/... in one exactly-sized
+// allocation. It never stores a segment pointer, so paths built from stack
+// segments (the static check's) stay on the stack.
+func pathString(path *pathSeg) string {
+	if path == nil {
 		return ""
 	}
-	n := len(path) // one '/' before each segment
-	for _, seg := range path {
-		n += len(seg)
+	n := 0
+	for s := path; s != nil; s = s.parent {
+		n += 1 + len(s.label) // '/' + label
+		switch {
+		case s.index == paramSeg:
+			n++ // '@'
+		case s.index >= 0:
+			n += 2 + decimalLen(s.index) // '[' digits ']'
+		}
 	}
 	var b strings.Builder
 	b.Grow(n)
-	for _, seg := range path {
-		b.WriteByte('/')
-		b.WriteString(seg)
-	}
+	writePath(&b, path)
 	return b.String()
+}
+
+// writePath writes the segments of path root first.
+func writePath(b *strings.Builder, s *pathSeg) {
+	if s == nil {
+		return
+	}
+	writePath(b, s.parent)
+	b.WriteByte('/')
+	if s.index == paramSeg {
+		b.WriteByte('@')
+	}
+	b.WriteString(s.label)
+	if s.index >= 0 {
+		var num [20]byte
+		b.WriteByte('[')
+		b.Write(strconv.AppendInt(num[:0], int64(s.index), 10))
+		b.WriteByte(']')
+	}
+}
+
+// decimalLen is the number of decimal digits of a non-negative int.
+func decimalLen(i int) int {
+	n := 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
 }
 
 // forestLabels renders the non-text labels of a forest as "[a b c]" — the

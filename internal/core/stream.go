@@ -18,9 +18,11 @@
 //     (rewriteWord against the residual, element recursion for the
 //     survivors), so decisions, instrument counters and audit records come
 //     from the same code path as the tree engine;
-//   - function subtrees themselves (parameters travel with the call) and
-//     data-element content (the batch printer chooses its element form from
-//     the whole child list, and collapseToData is inherently bounded).
+//   - function subtrees themselves (parameters travel with the call) and a
+//     data element's children from its first non-text child on (they are
+//     collapsed at the close tag; collapseToData is inherently bounded).
+//     Text streams through: the emitter holds a lone text child back until
+//     the element's form is decided, exactly as the batch printer chooses.
 //
 // Streaming is restricted to configurations where it provably matches the
 // tree engine byte for byte: Safe mode (Possible-mode backtracking revisits
@@ -156,9 +158,9 @@ func (rw *Rewriter) streamPrescan(n *doc.Node, wild bool) bool {
 
 // RewriteDocumentStream enforces the exchange schema on root and writes the
 // serialized result to w in one pass, falling back to the tree engine (plus
-// direct serialization) for configurations streaming cannot handle. The
-// document is mutated like RewriteDocumentContext; pass a clone to keep the
-// original.
+// direct serialization) for configurations streaming cannot handle. Like
+// RewriteDocumentContext it never modifies root, so a stored tree can be
+// passed as is.
 //
 // A stage timer on ctx (telemetry.StagesFrom) receives the rewrite stage
 // and, on fallback, the serialize stage; a streamed pass serializes as it
@@ -293,6 +295,7 @@ func (rw *Rewriter) streamBody(ctx context.Context, src xmlio.TokenSource, w io.
 				typ := regex.Sym(rw.Compiled.Table.Intern(label))
 				g = &streamEngine{rw: &srw, ex: ex, em: em, c: rw.Compiled,
 					d: rw.Compiled.Deriver(), spec: spec, phase1: &Audit{},
+					labels: map[string]labelInfo{}, derivs: map[derivKey]*regex.Regex{},
 					frames: []*sFrame{{virtual: true, content: typ, resid: typ}}}
 			}
 			switch ev.Kind {
@@ -348,11 +351,13 @@ func (rw *Rewriter) streamBody(ctx context.Context, src xmlio.TokenSource, w io.
 // sFrame is the engine's per-open-element state.
 type sFrame struct {
 	label string
-	path  []string
+	path  *pathSeg // &seg, or nil for the virtual frame
+	seg   pathSeg
 	// Exactly one of these classifications applies: virtual (the synthetic
 	// forest-level frame), wild (target-undeclared: verbatim passthrough),
-	// isData (atomic content: buffered, collapsed at close), or structured
-	// (resid tracks the residual content model).
+	// isData (atomic content: text streams through, anything else is
+	// buffered and collapsed at close), or structured (resid tracks the
+	// residual content model).
 	virtual bool
 	wild    bool
 	isData  bool
@@ -365,7 +370,8 @@ type sFrame struct {
 	childIdx int
 	preCount int
 	// island buffers the unresolved suffix of the child word; islandOn
-	// flips at the first function child (or immediately for data frames).
+	// flips at the first function child (in a data frame, at the first
+	// child that is not text).
 	islandOn bool
 	island   []*doc.Node
 	// records accumulates the audit bundles of closed streamed children,
@@ -386,6 +392,16 @@ type streamEngine struct {
 	d      *regex.Deriver
 	spec   *specPool
 	frames []*sFrame
+	// free holds the frames of closed elements for reuse: nothing refers
+	// to a frame, or to the path segment it embeds, once its element has
+	// closed — paths below it reach errors only as rendered strings.
+	free []*sFrame
+	// labels and derivs memoize, per rewrite, the symbol table, content
+	// model and derivative lookups every element start needs: a document
+	// repeats a handful of labels and residuals thousands of times, and
+	// the shared structures answer each lookup under a lock.
+	labels map[string]labelInfo
+	derivs map[derivKey]*regex.Regex
 	// bstack tracks elements under construction inside the current island:
 	// events below an island build real subtrees for the executor.
 	bstack []*doc.Node
@@ -396,6 +412,51 @@ type streamEngine struct {
 }
 
 func (g *streamEngine) cur() *sFrame { return g.frames[len(g.frames)-1] }
+
+// labelInfo is what an element start needs to know about its label.
+type labelInfo struct {
+	sym              regex.Symbol
+	content          *regex.Regex
+	isData, declared bool
+}
+
+func (g *streamEngine) label(name string) labelInfo {
+	li, ok := g.labels[name]
+	if !ok {
+		li.sym = g.c.Table.Intern(name)
+		li.content, li.isData, li.declared = g.c.ContentModel(name)
+		g.labels[name] = li
+	}
+	return li
+}
+
+type derivKey struct {
+	r   *regex.Regex
+	sym regex.Symbol
+}
+
+// derive is g.d.Derive through the rewrite's own memo.
+func (g *streamEngine) derive(r *regex.Regex, sym regex.Symbol) *regex.Regex {
+	k := derivKey{r, sym}
+	d, ok := g.derivs[k]
+	if !ok {
+		d = g.d.Derive(r, sym)
+		g.derivs[k] = d
+	}
+	return d
+}
+
+// frame returns a zeroed frame for an element that just opened.
+func (g *streamEngine) frame() *sFrame {
+	n := len(g.free)
+	if n == 0 {
+		return &sFrame{}
+	}
+	fr := g.free[n-1]
+	g.free = g.free[:n-1]
+	*fr = sFrame{}
+	return fr
+}
 
 // account charges a buffered subtree to fr and updates the peak frontier.
 func (g *streamEngine) account(fr *sFrame, n *doc.Node) {
@@ -443,7 +504,9 @@ func (g *streamEngine) start(label string) error {
 		return nil
 	}
 	fr := g.cur()
-	if fr.islandOn {
+	if fr.islandOn || fr.isData {
+		// An element in a data frame can only fail the collapse at close;
+		// buffer it like an island child.
 		n := doc.Elem(label)
 		g.addIsland(n)
 		g.bstack = append(g.bstack, n)
@@ -451,32 +514,30 @@ func (g *streamEngine) start(label string) error {
 	}
 	if fr.wild {
 		g.em.StartElement(label)
-		g.frames = append(g.frames, &sFrame{label: label, wild: true})
+		child := g.frame()
+		child.label, child.wild = label, true
+		g.frames = append(g.frames, child)
 		return nil
 	}
 	// Structured (or virtual) frame: the child's symbol extends the
 	// function-free prefix, so step the residual. A dead residual means no
 	// suffix can complete the word — the tree engine's static check would
 	// refuse the document too.
-	sym := g.c.Table.Intern(label)
-	fr.resid = g.d.Derive(fr.resid, sym)
+	li := g.label(label)
+	fr.resid = g.derive(fr.resid, li.sym)
 	if fr.resid.IsNever() {
 		return &NotSafeError{Path: pathString(fr.path), Msg: fmt.Sprintf(
 			"child %q cannot extend any word matching %s", label, fr.content.String(g.c.Table))}
 	}
 	idx := fr.childIdx
 	fr.childIdx++
-	content, isData, declared := g.c.ContentModel(label)
-	child := &sFrame{label: label, path: indexedPath(fr.path, label, idx),
-		content: content, resid: content, isData: isData, wild: !declared}
+	child := g.frame()
+	child.label, child.content, child.resid, child.isData, child.wild = label, li.content, li.content, li.isData, !li.declared
+	child.seg = pathSeg{parent: fr.path, label: label, index: idx}
+	child.path = &child.seg
 	if child.wild && g.rw.ctx.Strict {
 		return &NotSafeError{Path: pathString(child.path), Msg: fmt.Sprintf(
 			"element %q is not declared by the target schema", label)}
-	}
-	if isData {
-		// The data element's form (<e/>, inline, block) depends on the
-		// collapsed child list; buffer from the start.
-		child.islandOn = true
 	}
 	g.em.StartElement(label)
 	g.frames = append(g.frames, child)
@@ -511,8 +572,11 @@ func (g *streamEngine) text(v string) error {
 		g.addIsland(doc.TextNode(v))
 		return nil
 	}
-	// Whitespace-only text in a structured element: the tree engine keeps
-	// the node, so it streams through (and still occupies a child index).
+	// Whitespace-only text in a structured element (the tree engine keeps
+	// the node), or the text of a data element before any child that needs
+	// collapsing: it streams through, and still occupies a child index. The
+	// emitter holds a lone text back until the element's form is decided,
+	// so the bytes match the batch printer's.
 	fr.childIdx++
 	g.em.Text(v)
 	return nil
@@ -523,6 +587,10 @@ func (g *streamEngine) fun(n *doc.Node) error {
 	if len(g.bstack) == 0 && g.cur().wild {
 		return fmt.Errorf("%w: function node under wildcard element %q", ErrStreamUnsupported, g.cur().label)
 	}
+	// A tree source hands out the caller's own function nodes, and
+	// materialization rewrites a function's parameters in place: work on
+	// a clone, parameters included.
+	n = n.Clone()
 	// Phase 1 at arrival: sources deliver function subtrees at close-tag
 	// time, which is doc.FuncsBottomUp order over the whole document —
 	// records land in the phase-1 buffer in tree-engine order. Nested
@@ -559,10 +627,15 @@ func (g *streamEngine) end() error {
 	}
 	fr := g.cur()
 	g.frames = g.frames[:len(g.frames)-1]
+	defer func() { g.free = append(g.free, fr) }()
 	parent := g.frames[len(g.frames)-1]
 	switch {
 	case fr.wild:
 		// Wildcard territory: the tree engine leaves the subtree untouched.
+		g.em.EndElement()
+		return nil
+	case fr.isData && !fr.islandOn:
+		// Text only, and already handed to the emitter.
 		g.em.EndElement()
 		return nil
 	case fr.isData:
@@ -628,7 +701,7 @@ func (g *streamEngine) resolveIsland(fr *sFrame) ([]*doc.Node, []CallRecord, err
 	}
 	own := &Audit{}
 	ex.audit = own
-	out, err := ex.rewriteWord(fr.island, fr.resid, fr.path)
+	out, _, err := ex.rewriteWord(fr.island, fr.resid, fr.path, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -641,7 +714,7 @@ func (g *streamEngine) resolveIsland(fr *sFrame) ([]*doc.Node, []CallRecord, err
 			// emit bytes the batch printer would have namespaced.
 			return nil, nil, fmt.Errorf("core: internal: function %q survived a streaming rewrite", n.Label)
 		case doc.Element:
-			if err := ex.element(n, indexedPath(fr.path, n.Label, fr.preCount+j)); err != nil {
+			if err := ex.element(n, &pathSeg{parent: fr.path, label: n.Label, index: fr.preCount + j}, false); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -55,8 +55,9 @@ type ServiceRef struct {
 //   - Func: Label is the function name, Children are the parameter forest,
 //     and Service optionally pins the concrete endpoint.
 //
-// Nodes are mutable; rewriting splices returned forests into Children
-// slices. Use Clone before handing a document to code that mutates it.
+// Nodes are mutable: use Clone before handing a document to code that
+// mutates it. The rewriter in internal/core is not such code — it copies on
+// write and never modifies the tree it is given.
 type Node struct {
 	Kind     Kind
 	Label    string

@@ -228,7 +228,7 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		d, ok := p.Repo.Get(name)
+		d, ok := p.Repo.View(name)
 		if !ok {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("no document %q", name))
 			return
@@ -330,7 +330,7 @@ func (p *Peer) handleDocsByFunction(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		for _, name := range p.Repo.Names() {
-			d, ok := p.Repo.Get(name)
+			d, ok := p.Repo.View(name)
 			if !ok {
 				continue // deleted between Names and Get
 			}

@@ -38,7 +38,7 @@ type Agreement struct {
 // rewriting, then any merely possible. Proposals are considered in order
 // within each tier, so the caller's preference breaks ties.
 func (p *Peer) Negotiate(docName string, proposals []Proposal) (*Agreement, error) {
-	d, ok := p.Repo.Get(docName)
+	d, ok := p.Repo.View(docName)
 	if !ok {
 		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, docName, store.ErrNotFound)
 	}
@@ -52,14 +52,14 @@ func (p *Peer) Negotiate(docName string, proposals []Proposal) (*Agreement, erro
 	// Tier 2: safe rewriting exists.
 	for _, prop := range proposals {
 		rw := core.NewRewriter(p.Schema, prop.Schema, p.K, nil)
-		if err := rw.CheckDocument(d.Clone(), core.Safe); err == nil {
+		if err := rw.CheckDocument(d, core.Safe); err == nil {
 			return &Agreement{Proposal: prop, Mode: core.Safe}, nil
 		}
 	}
 	// Tier 3: possibly rewritable.
 	for _, prop := range proposals {
 		rw := core.NewRewriter(p.Schema, prop.Schema, p.K, nil)
-		if err := rw.CheckDocument(d.Clone(), core.Possible); err == nil {
+		if err := rw.CheckDocument(d, core.Possible); err == nil {
 			return &Agreement{Proposal: prop, Mode: core.Possible}, nil
 		}
 	}

@@ -259,9 +259,12 @@ func (p *Peer) SendDocument(name string, exchange *schema.Schema, mode core.Mode
 }
 
 // SendDocumentContext is SendDocument under a context: the enforcement
-// rewriting and every service call it schedules abort once ctx is done.
+// rewriting and every service call it schedules abort once ctx is done. The
+// rewriter never modifies its input, so it reads the stored tree through
+// View; the result shares the document's function-free subtrees with the
+// store and must be treated as read-only.
 func (p *Peer) SendDocumentContext(ctx context.Context, name string, exchange *schema.Schema, mode core.Mode) (*doc.Node, error) {
-	d, ok := p.Repo.Get(name)
+	d, ok := p.Repo.View(name)
 	if !ok {
 		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, name, store.ErrNotFound)
 	}
@@ -310,9 +313,10 @@ func (p *Peer) SendDocumentStream(ctx context.Context, name string, exchange *sc
 
 // sendCompiled is the one streaming send path, shared by
 // SendDocumentStream and the /exchange handler: the named document is
-// enforced with the compiled pair and serialized to w.
+// enforced with the compiled pair and serialized to w. The rewriter never
+// modifies its input, so the stored tree is read through View, uncloned.
 func (p *Peer) sendCompiled(ctx context.Context, name string, c *core.Compiled, mode core.Mode, w io.Writer) (*core.StreamResult, error) {
-	d, ok := p.Repo.Get(name)
+	d, ok := p.Repo.View(name)
 	if !ok {
 		return nil, fmt.Errorf("peer %s: no document %q: %w", p.Name, name, store.ErrNotFound)
 	}
@@ -334,7 +338,8 @@ func (p *Peer) Materialize(name string, mode core.Mode) error {
 // MaterializeContext is Materialize under a context.
 func (p *Peer) MaterializeContext(ctx context.Context, name string, mode core.Mode) error {
 	return p.Repo.Update(name, func(d *doc.Node) (*doc.Node, error) {
-		// Update hands fn a clone, so the rewriter may consume d in place.
+		// The rewritten tree shares d's function-free subtrees; Update
+		// hands fn a clone, so both are the store's to keep.
 		rw := p.rewriter(p.Schema)
 		return rw.RewriteDocumentContext(ctx, d, mode)
 	})

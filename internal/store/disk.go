@@ -376,6 +376,17 @@ func (d *Disk) fetchLocked(name string) (*doc.Node, error) {
 // it is not hot. I/O or at-rest parse damage reports as a miss (Get has no
 // error channel); Update on the same name surfaces the underlying error.
 func (d *Disk) Get(name string) (*doc.Node, bool) {
+	n, ok := d.View(name)
+	if !ok {
+		return nil, false
+	}
+	return n.Clone(), true
+}
+
+// View returns the stored tree itself, shared and read-only (see DocStore),
+// faulting it in like Get. The hot cache only ever drops or replaces a
+// tree, never modifies one, so a viewed tree outlives its eviction.
+func (d *Disk) View(name string) (*doc.Node, bool) {
 	start := time.Now()
 	d.mu.Lock()
 	n, err := d.fetchLocked(name)
@@ -384,7 +395,7 @@ func (d *Disk) Get(name string) (*doc.Node, bool) {
 		return nil, false
 	}
 	d.metrics.observeGet(time.Since(start))
-	return n.Clone(), true
+	return n, true
 }
 
 // Update applies fn to a clone of the stored document (faulted in if cold)

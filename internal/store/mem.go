@@ -132,13 +132,19 @@ func (r *Repository) put(name string, d *doc.Node, keepExisting bool) (bool, err
 
 // Get returns a clone of the named document.
 func (r *Repository) Get(name string) (*doc.Node, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	d, ok := r.docs[name]
+	d, ok := r.View(name)
 	if !ok {
 		return nil, false
 	}
 	return d.Clone(), true
+}
+
+// View returns the stored tree itself, shared and read-only (see DocStore).
+func (r *Repository) View(name string) (*doc.Node, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	d, ok := r.docs[name]
+	return d, ok
 }
 
 // Update applies fn to a clone of the stored document under the write lock;

@@ -7,8 +7,12 @@
 // The interface contract, shared by every backend and pinned by the
 // storetest conformance suite:
 //
-//   - Documents are cloned on the way in and out: a caller can never mutate
-//     stored state through a node it handed in or got back.
+//   - Documents are cloned on the way in (Put) and out (Get): a caller can
+//     never mutate stored state through a node it handed in or got back.
+//   - A stored tree is never modified in place: Put stores a clone and Update
+//     swaps in a new root. View exploits that to hand out the stored tree
+//     itself, shared and read-only, and a viewed tree keeps its bytes
+//     whatever later mutations do to its name.
 //   - Mutations are atomic and totally ordered per store; an acknowledged
 //     mutation is committed (and, for durable backends, logged) in that
 //     order.
@@ -48,6 +52,13 @@ type DocStore interface {
 	Put(name string, d *doc.Node) error
 	// Get returns a clone of the named document; ok is false on a miss.
 	Get(name string) (d *doc.Node, ok bool)
+	// View returns the stored tree itself, without cloning; ok is false on
+	// a miss. The tree is shared with the store and every other viewer:
+	// the caller must not modify it. It stays valid, with unchanged bytes,
+	// after any later Put, Update or Delete of the name. Read-only callers
+	// (serialization, the rewriter, which never modifies its input) use
+	// View; callers that modify what they read use Get.
+	View(name string) (d *doc.Node, ok bool)
 	// Update applies fn to a clone of the stored document and commits fn's
 	// return value atomically. A miss reports ErrNotFound (wrapped); an fn
 	// error aborts the update and leaves the document unchanged.

@@ -17,6 +17,7 @@ import (
 
 	"axml/internal/doc"
 	"axml/internal/store"
+	"axml/internal/xmlio"
 )
 
 // Factory describes one backend under test.
@@ -36,6 +37,7 @@ type Factory struct {
 func Run(t *testing.T, f Factory) {
 	t.Run("BasicCRUD", func(t *testing.T) { testBasicCRUD(t, f) })
 	t.Run("CloneInCloneOut", func(t *testing.T) { testCloneAliasing(t, f) })
+	t.Run("View", func(t *testing.T) { testView(t, f) })
 	t.Run("Update", func(t *testing.T) { testUpdate(t, f) })
 	t.Run("ScanPagination", func(t *testing.T) { testScan(t, f) })
 	t.Run("FunctionIndex", func(t *testing.T) { testFunctionIndex(t, f) })
@@ -177,6 +179,67 @@ func testCloneAliasing(t *testing.T, f Factory) {
 	if d, _ := s.Get("memo"); d.Children[0].Value != "original" {
 		t.Errorf("mutating a returned node leaked into the store: %v", d)
 	}
+}
+
+// testView: View serializes exactly as Get does, misses report ok == false,
+// and a viewed tree keeps its bytes through every later mutation of its
+// name — stored trees are replaced, never modified in place.
+func testView(t *testing.T, f Factory) {
+	s := f.Open(t)
+	defer s.Close()
+
+	if _, ok := s.View("absent"); ok {
+		t.Error("View of an absent name reported ok")
+	}
+	mustPut(t, s, "memo", newsDoc("original"))
+	got, _ := s.Get("memo")
+	viewed, ok := s.View("memo")
+	if !ok {
+		t.Fatal("View missed a stored document")
+	}
+	want := mustSerialize(t, got)
+	if b := mustSerialize(t, viewed); b != want {
+		t.Fatalf("View = %s, Get = %s", b, want)
+	}
+
+	mustPut(t, s, "memo", newsDoc("replaced"))
+	if b := mustSerialize(t, viewed); b != want {
+		t.Errorf("a later Put changed a viewed tree: %s", b)
+	}
+	second, _ := s.View("memo")
+	if err := s.Update("memo", func(d *doc.Node) (*doc.Node, error) {
+		d.Children[0].Value = "updated"
+		d.Children = append(d.Children, doc.Elem("extra"))
+		return d, nil
+	}); err != nil {
+		t.Fatalf("Update = %v", err)
+	}
+	if b := mustSerialize(t, second); !strings.Contains(b, "replaced") || strings.Contains(b, "extra") {
+		t.Errorf("a later Update changed a viewed tree: %s", b)
+	}
+	third, _ := s.View("memo")
+	thirdBytes := mustSerialize(t, third)
+	if err := s.Delete("memo"); err != nil {
+		t.Fatalf("Delete = %v", err)
+	}
+	if b := mustSerialize(t, third); b != thirdBytes || !strings.Contains(b, "updated") {
+		t.Errorf("a later Delete changed a viewed tree: %s", b)
+	}
+	if b := mustSerialize(t, viewed); b != want {
+		t.Errorf("the first view changed after the mutations: %s", b)
+	}
+	if _, ok := s.View("memo"); ok {
+		t.Error("View found a deleted document")
+	}
+}
+
+func mustSerialize(t *testing.T, d *doc.Node) string {
+	t.Helper()
+	s, err := xmlio.String(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func testUpdate(t *testing.T, f Factory) {

@@ -345,11 +345,43 @@ func (p *printer) indent(depth int) {
 // escape writes s with XML text escaping; documents overwhelmingly carry
 // clean text, so the scan-then-copy fast path avoids touching each rune.
 func (p *printer) escape(s string) {
-	if !strings.ContainsAny(s, "&<>'\"\t\n\r") {
+	if !needsEscape(s) {
 		p.b.WriteString(s)
 		return
 	}
 	_ = xml.EscapeText(p.b, []byte(s))
+}
+
+// escapeBytes are the bytes xml.EscapeText rewrites; escapeTable marks them.
+const escapeBytes = "&<>'\"\t\n\r"
+
+var escapeTable = func() (t [256]bool) {
+	for i := 0; i < len(escapeBytes); i++ {
+		t[escapeBytes[i]] = true
+	}
+	return t
+}()
+
+// needsEscape reports whether s holds a byte of escapeBytes. Every text
+// and attribute value of a document passes through it, and nearly all are
+// clean: a table lookup per byte serves short values, and one vectorized
+// strings.IndexByte pass per escape byte serves long ones, both several
+// times faster than strings.ContainsAny's per-byte set test.
+func needsEscape(s string) bool {
+	if len(s) < 64 {
+		for i := 0; i < len(s); i++ {
+			if escapeTable[s[i]] {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < len(escapeBytes); i++ {
+		if strings.IndexByte(s, escapeBytes[i]) >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // attr writes ` name="value"` with attribute-value escaping.

@@ -199,3 +199,25 @@ func TestEmptyElements(t *testing.T) {
 		t.Error("round trip changed the document")
 	}
 }
+
+// TestNeedsEscape pins the printer's escape test to the byte set
+// xml.EscapeText rewrites, on both sides of its short/long split and with
+// the escape byte at the start, middle and end.
+func TestNeedsEscape(t *testing.T) {
+	for _, n := range []int{0, 1, 10, 63, 64, 65, 900} {
+		clean := strings.Repeat("x", n)
+		if needsEscape(clean) {
+			t.Errorf("len %d: clean text reported as needing escape", n)
+		}
+		for c := 0; c < 256 && n > 0; c++ {
+			for _, at := range []int{0, n / 2, n - 1} {
+				b := []byte(clean)
+				b[at] = byte(c)
+				s := string(b)
+				if got, want := needsEscape(s), strings.ContainsAny(s, "&<>'\"\t\n\r"); got != want {
+					t.Fatalf("len %d, byte %#x at %d: needsEscape = %v, want %v", n, c, at, got, want)
+				}
+			}
+		}
+	}
+}
